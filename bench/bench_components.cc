@@ -29,11 +29,21 @@ namespace
 void
 BM_EventQueue(benchmark::State &state)
 {
-    EventQueue q;
+    // Steady state of a timing-simulation phase: ~340 events
+    // pending, most due within a few hundred cycles, a few (pacer,
+    // migration streams) a wheel span or more ahead.
+    EventQueue<std::uint64_t> q;
+    Rng rng(1);
     std::uint64_t n = 0;
+    auto delay = [&rng] {
+        return Cycles(rng.chance(0.01) ? 20000 : 1 + rng.range32(600));
+    };
+    for (int i = 0; i < 340; ++i)
+        q.schedule(delay(), 0);
+    auto handle = [&](std::uint64_t v) { n += v; };
     for (auto _ : state) {
-        q.scheduleAfter(Cycles(1), [&n] { ++n; });
-        q.step();
+        q.scheduleAfter(delay(), 1);
+        q.step(handle);
     }
     benchmark::DoNotOptimize(n);
     state.SetItemsProcessed(state.iterations());

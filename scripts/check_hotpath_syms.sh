@@ -76,6 +76,7 @@ MANIFEST = [
     r"starnuma::core::RegionTracker::record\(",
     r"starnuma::core::PageAccessStats::record\(",
     r"starnuma::mem::PageMap::touch\(",
+    r"starnuma::driver::\(anonymous namespace\)::PhaseSim::run\(",
 ]
 
 # A call target starting with any of these is a hot-path violation.

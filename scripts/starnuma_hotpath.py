@@ -198,11 +198,13 @@ def scan_hot_function(sf, f, graph, findings, seen_violations):
             elif t in ALLOC_FUNCS:
                 violation(line, "allocates ('%s')" % t)
             else:
-                qual = None
-                if prv == "::" and j >= 2 and \
-                        core.is_ident(toks[j - 2].text):
-                    qual = toks[j - 2].text
-                targets = graph.resolve(t, qual)
+                qual = recv = None
+                if j >= 2 and core.is_ident(toks[j - 2].text):
+                    if prv == "::":
+                        qual = toks[j - 2].text
+                    elif prv in (".", "->"):
+                        recv = toks[j - 2].text
+                targets = graph.resolve(t, qual, recv)
                 if targets:
                     if not line_annotated(sf, line,
                                           COLD_ANNOTATION):
@@ -211,11 +213,12 @@ def scan_hot_function(sf, f, graph, findings, seen_violations):
                 elif t in ALLOC_METHODS and prv in (".", "->"):
                     violation(line, "grows a std:: container "
                                     "('%s')" % t)
-        elif core.is_ident(t) and nxt != "(" and \
-                t in graph.ctor_classes:
+        elif core.is_ident(t) and nxt not in ("(", "&", "&&", "*") \
+                and t in graph.ctor_classes:
             # A mention of an indexed class name constructs one
             # (local, member, or container element): follow its
-            # constructor(s).
+            # constructor(s). Reference and pointer declarations
+            # construct nothing.
             if not line_annotated(sf, line, COLD_ANNOTATION):
                 for tgt in graph.ctor_classes[t]:
                     edges.append((tgt, line))

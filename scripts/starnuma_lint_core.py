@@ -747,24 +747,84 @@ def func_annotated(sf, f, annotation):
     return has_annotation_above(sf.raw_lines, lo, annotation)
 
 
+_DECL_NON_NAMES = frozenset((
+    "const", "constexpr", "final", "override", "operator", "public",
+    "private", "protected", "return", "new",
+))
+
+
+def class_of(f):
+    return f.qualname.rsplit("::", 1)[0] if "::" in f.qualname \
+        else None
+
+
+def declared_var_classes(tree, classes):
+    """Declared-name -> set of the @p classes it is declared with,
+    over every file of @p tree (handles both ``Cls x`` and
+    ``Cls<T...> x`` forms, references and pointers included)."""
+    out = {}
+    if not classes:
+        return out
+    rx = re.compile(r"\b(%s)\b"
+                    % "|".join(re.escape(c) for c in sorted(classes)))
+    name_re = re.compile(r"\s*[&*]?\s*&?\s*([A-Za-z_]\w*)")
+    for sf in tree.values():
+        code = "\n".join(sf.code_lines)
+        n = len(code)
+        for m in rx.finditer(code):
+            cls = m.group(1)
+            i = m.end()
+            while i < n and code[i] in " \t\n":
+                i += 1
+            if i < n and code[i] == "<":
+                depth = 0
+                while i < n:
+                    if code[i] == "<":
+                        depth += 1
+                    elif code[i] == ">":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    i += 1
+                i += 1
+            elif i < n and code[i] == ":":
+                continue  # Cls::... is a use, not a declaration
+            dm = name_re.match(code, i)
+            if dm:
+                name = dm.group(1)
+                if name not in _DECL_NON_NAMES and \
+                        name not in NON_CALL_KEYWORDS:
+                    out.setdefault(name, set()).add(cls)
+    return out
+
+
 class CallGraph:
     """Name-based over-approximate call resolution: a simple name
     resolves to every indexed definition of that name; a qualified
     call ``X::f`` prefers definitions of class X; ``std::f`` with no
-    indexed definition resolves to nothing."""
+    indexed definition resolves to nothing; an ``obj.f(...)`` call
+    keeps only the candidates of classes that declare a variable
+    named ``obj`` somewhere in the tree (all of them when no class
+    does). @p extra_classes are declaration types to track beyond
+    the classes that define indexed functions."""
 
-    def __init__(self, tree):
+    def __init__(self, tree, extra_classes=()):
         self.tree = tree
         self.by_name = {}
         self.ctor_classes = {}
+        classes = set(extra_classes)
         for sf in tree.values():
             for f in sf.funcs:
                 self.by_name.setdefault(f.name, []).append(f)
                 qual = f.qualname.split("::")[0]
                 if f.name == qual and "::" in f.qualname:
                     self.ctor_classes.setdefault(qual, []).append(f)
+                c = class_of(f)
+                if c:
+                    classes.add(c)
+        self.var_classes = declared_var_classes(tree, classes)
 
-    def resolve(self, name, qual):
+    def resolve(self, name, qual, recv=None):
         cands = self.by_name.get(name, [])
         if qual:
             exact = [f for f in cands
@@ -773,4 +833,11 @@ class CallGraph:
                 return exact
             if qual == "std":
                 return []
+            return cands
+        if recv and len(cands) > 1:
+            owners = self.var_classes.get(recv)
+            if owners:
+                filt = [f for f in cands if class_of(f) in owners]
+                if filt:
+                    return filt
         return cands

@@ -233,12 +233,6 @@ CACHE_KEYS = {
     "cache_key": [],
 }
 
-_DECL_NON_NAMES = frozenset((
-    "const", "constexpr", "final", "override", "operator", "public",
-    "private", "protected", "return", "new",
-))
-
-
 def rng_exempt(rel):
     base = os.path.basename(rel)
     return rel.startswith("src/sim/") and base.startswith("rng.")
@@ -251,9 +245,7 @@ def trusted(rel):
     return rel.startswith(OBS_DIR) or rng_exempt(rel)
 
 
-def class_of(f):
-    return f.qualname.rsplit("::", 1)[0] if "::" in f.qualname \
-        else None
+class_of = core.class_of
 
 
 class Flow:
@@ -291,7 +283,7 @@ def merge(dst, src, via=None):
 class Analyzer:
     def __init__(self, tree):
         self.tree = tree
-        self.graph = core.CallGraph(tree)
+        self.graph = core.CallGraph(tree, RECEIVER_CLASSES)
         self.decl = self._build_decl_table()
         self.params = {}       # id(f) -> [param name or None]
         self.stmts = {}        # id(f) -> [(tok_start, tok_end)]
@@ -312,73 +304,17 @@ class Analyzer:
     # --- one-time prep ----------------------------------------------
 
     def _build_decl_table(self):
-        """var_classes: declared-name -> set of class names it is
-        declared with, covering every class the call graph knows
-        plus the sink receiver classes (handles both ``Cls x`` and
-        ``Cls<T...> x`` forms). self.decl derives the per-sink-class
-        view from it."""
-        classes = set(RECEIVER_CLASSES)
-        for sf in self.tree.values():
-            for f in sf.funcs:
-                c = class_of(f)
-                if c:
-                    classes.add(c)
-        rx = re.compile(r"\b(%s)\b"
-                        % "|".join(re.escape(c)
-                                   for c in sorted(classes)))
-        name_re = re.compile(r"\s*[&*]?\s*&?\s*([A-Za-z_]\w*)")
-        self.var_classes = {}
-        for sf in self.tree.values():
-            code = "\n".join(sf.code_lines)
-            n = len(code)
-            for m in rx.finditer(code):
-                cls = m.group(1)
-                i = m.end()
-                while i < n and code[i] in " \t\n":
-                    i += 1
-                if i < n and code[i] == "<":
-                    depth = 0
-                    while i < n:
-                        if code[i] == "<":
-                            depth += 1
-                        elif code[i] == ">":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                        i += 1
-                    i += 1
-                elif i < n and code[i] == ":":
-                    continue  # Cls::... is a use, not a declaration
-                dm = name_re.match(code, i)
-                if dm:
-                    name = dm.group(1)
-                    if name not in _DECL_NON_NAMES and \
-                            name not in core.NON_CALL_KEYWORDS:
-                        self.var_classes.setdefault(
-                            name, set()).add(cls)
+        """Per-sink-class view of the call graph's declared-variable
+        table: sink receiver class -> names declared with it."""
         table = {cls: set() for cls in RECEIVER_CLASSES}
-        for name, owners in self.var_classes.items():
+        for name, owners in self.graph.var_classes.items():
             for cls in owners:
                 if cls in table:
                     table[cls].add(name)
         return table
 
     def _resolve(self, name, qual, recv):
-        """Call resolution: class-qualified exact match first; for
-        ``obj.method(...)`` calls, restrict same-name candidates to
-        classes that declare a variable named ``obj`` (falling back
-        to the full over-approximate candidate set when the
-        receiver's type is unknown)."""
-        if qual:
-            return self.graph.resolve(name, qual)
-        cands = self.graph.resolve(name, None)
-        if recv and len(cands) > 1:
-            owners = self.var_classes.get(recv)
-            if owners:
-                filt = [f for f in cands if class_of(f) in owners]
-                if filt:
-                    return filt
-        return cands
+        return self.graph.resolve(name, qual, recv)
 
     def _prepare(self):
         for rel in sorted(self.tree):

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +13,8 @@
 #include "mem/directory.hh"
 #include "mem/dram.hh"
 #include "mem/page_map.hh"
+#include "sim/annotations.hh"
+#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/obs/obs.hh"
@@ -42,6 +43,10 @@ constexpr std::uint64_t metadataWritePeriod = 32;
 /** Page data is streamed in chunks of this many blocks. */
 constexpr int migrationChunkBlocks = 4;
 
+/** Wire bytes of one migration chunk (8-byte header per block). */
+constexpr Addr migrationChunkBytes =
+    migrationChunkBlocks * (blockBytes + 8);
+
 /** Stream/counter names per topology::LinkType index. */
 constexpr const char *linkTypeNames[3] = {"upi", "numalink", "cxl"};
 
@@ -54,18 +59,89 @@ phasePrefix(int phase)
     return buf;
 }
 
+/** What PhaseSim::dispatch does with an event (DESIGN.md §17). */
+enum class EventKind : std::uint8_t
+{
+    Issue,          ///< core idx issues its next trace record
+    MissHop,        ///< miss idx reached its next hop
+    MissResume,     ///< miss idx's page finished migrating
+    Writeback,      ///< dirty victim arg reached home 'from'
+    Migration,      ///< idx pages from page arg move 'from' -> 'to'
+    MigrationChunk, ///< one chunk of page arg, 'from' -> 'to'
+    Pace,           ///< light-core pacing update
+};
+
+/** A scheduled event: plain data, no callable. */
+struct Event
+{
+    EventKind kind;
+    bool last = false; ///< MigrationChunk: the page's final chunk
+    NodeId from = 0;
+    NodeId to = 0;
+    std::uint32_t idx = 0;
+    std::uint64_t arg = 0;
+};
+
+/** One leg of a miss's path through the machine (Fig 4). */
+enum class Leg : std::uint8_t
+{
+    Ctrl, ///< request/forward message to the next route node
+    Data, ///< data block to the next route node
+    Dram, ///< memory access at the current route node
+    Done, ///< arrived back at the requester
+};
+
+/** The legs of each AccessType's path, in order. The route nodes
+ *  they walk are R -> H -> R for Local..Pool (Local never leaves
+ *  R), R -> H -> O -> R for BtSocket (3-hop), and
+ *  R -> H(pool) -> O -> H -> R for BtPool (4-hop). */
+constexpr Leg legPlan[accessTypes][6] = {
+    {Leg::Dram, Leg::Done},                                  // Local
+    {Leg::Ctrl, Leg::Dram, Leg::Data, Leg::Done},            // OneHop
+    {Leg::Ctrl, Leg::Dram, Leg::Data, Leg::Done},            // TwoHop
+    {Leg::Ctrl, Leg::Dram, Leg::Data, Leg::Done},            // Pool
+    {Leg::Ctrl, Leg::Dram, Leg::Ctrl, Leg::Data, Leg::Done}, // BtSocket
+    {Leg::Ctrl, Leg::Dram, Leg::Ctrl, Leg::Data, Leg::Data,
+     Leg::Done}, // BtPool
+};
+
+/** One LLC miss in flight, advanced leg by leg. */
+struct Miss
+{
+    std::uint64_t instr;
+    Addr vaddr;
+    Cycles issued;
+    std::uint32_t core;
+    bool write;
+    bool countStats;
+    // Set by routeMiss:
+    AccessType type = AccessType::Local;
+    std::uint8_t leg = 0; ///< next entry of legPlan[type]
+    std::uint8_t at = 0;  ///< route index of the node the miss is at
+    std::array<NodeId, 5> route{};
+};
+
+/** One MSHR entry of a core: an outstanding miss, oldest first. */
+struct Outstanding
+{
+    std::uint64_t instr;
+    bool complete;
+};
+
 /**
- * Hardware state that persists across the run's phases: caches and
- * directory stay warm (the phases of one workload run on the same
- * machine); link and DRAM queue occupancy is reset per phase since
- * checkpoints are far apart in time.
+ * Hardware state of one timing run: caches and directory stay warm
+ * across the phases simulated on it; link and DRAM queue occupancy
+ * is reset per phase since checkpoints are far apart in time.
  */
 struct MachineState
 {
+    // lint: cold-path one machine per phase (or per run)
     MachineState(const SystemSetup &setup, const SimScale &scale,
-                 const CoreModel &core)
+                 const CoreModel &core, const PageSpan &span,
+                 const FlatSet<PageNum> &replicated_pages)
         : topo(setup.sys), directory(setup.sys.sockets),
-          pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0))
+          pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0)),
+          replicated(replicated_pages)
     {
         mem::CacheConfig llc_cfg{
             static_cast<Addr>(scale.coresPerSocket) *
@@ -79,6 +155,8 @@ struct MachineState
         }
         if (setup.sys.hasPool)
             mcs.emplace_back(setup.sys.poolChannels, dram_cfg);
+        if (span.pages > 0)
+            pages.preallocate(span.lo, span.pages);
     }
 
     void
@@ -123,6 +201,35 @@ struct MachineState
 };
 
 /**
+ * One phase's post-warmup statistics and telemetry: everything that
+ * outlives the phase's simulation, whose machine and event queue are
+ * freed as soon as it has run.
+ */
+struct PhaseStats
+{
+    void accumulate(RunMetrics &m) const;
+    void registerStats(obs::Registry &r) const;
+
+    std::uint64_t instructions = 0;
+    Cycles cycles;
+    std::uint64_t llcHits = 0;
+    std::uint64_t detailedMisses = 0;
+    std::array<std::uint64_t, accessTypes> mix{};
+    std::array<stats::Mean, accessTypes> typeLatency;
+    stats::Mean latency;
+    stats::Mean migStall;
+    std::uint64_t shootdownPages = 0;
+    std::uint64_t coherence = 0;
+    Cycles horizon; ///< simulated cycles the phase covered
+
+    /** Per-epoch telemetry (DESIGN.md §14): link utilization and
+     *  DRAM request rate per pacer epoch, sampled on the simulated
+     *  clock. The pid-2 trace counter events re-emit these samples,
+     *  so the two channels cannot drift. */
+    obs::TimeSeries series;
+};
+
+/**
  * One phase's event-driven simulation. Every resource (link
  * direction, DRAM bank/bus) is claimed by an event executing at the
  * moment the request actually reaches it, so the fluid queues see
@@ -135,33 +242,11 @@ class PhaseSim
              const TimingOptions &options, const CoreModel &core,
              const trace::WorkloadTrace &trace,
              const Checkpoint &checkpoint, int phase,
-             MachineState &machine);
+             MachineState &machine, PhaseStats &stats);
 
     void run();
 
-    /** Fold this phase's post-warmup stats into @p m. */
-    void accumulate(RunMetrics &m) const;
-
-    /** Register this phase's post-warmup stats into @p r. */
-    void registerStats(obs::Registry &r) const;
-
-    /** Simulated cycles this phase covered. */
-    Cycles horizon() const { return endCycle; }
-
-    /** This phase's per-epoch telemetry (DESIGN.md §14): link
-     *  utilization and DRAM request rate per pacer epoch, sampled
-     *  on the simulated clock. The pid-2 trace counter events
-     *  re-emit these samples, so the two channels cannot drift. */
-    const obs::TimeSeries &timeseries() const { return series; }
-
   private:
-    struct Outstanding
-    {
-        std::uint64_t instr;
-        Cycles done;
-        bool complete = false;
-    };
-
     struct CoreState
     {
         ThreadId thread = 0;
@@ -177,15 +262,16 @@ class PhaseSim
         Cycles doneCycle;
         Cycles warmupCycle;
         bool warmupCrossed = false;
-        std::deque<Outstanding> pending;
+        Outstanding *mshr = nullptr; ///< core.mshrs slots, oldest first
+        std::uint32_t inFlight = 0;  ///< occupied MSHR slots
     };
+
+    void dispatch(const Event &ev);
 
     // --- core actors ---
     void scheduleIssue(CoreState &c, Cycles when);
     void issueNext(CoreState &c);
-    void onComplete(CoreState &c, std::uint64_t instr, Cycles done,
-                    AccessType type, bool count_stats,
-                    Cycles issued);
+    void retireCompleted(CoreState &c);
     bool frontBlocks(const CoreState &c,
                      std::uint64_t next_instr) const;
     void finishCore(CoreState &c);
@@ -197,15 +283,23 @@ class PhaseSim
     /** Start a miss's journey; completion is an event at 'done'. */
     void startMiss(CoreState &c, Addr vaddr, bool write,
                    std::uint64_t instr, bool count_stats);
-    void missAfterStall(CoreState &c, Addr vaddr, bool write,
-                        std::uint64_t instr, bool count_stats,
-                        Cycles issued);
-    void finishMiss(CoreState &c, std::uint64_t instr,
-                    AccessType type, bool count_stats,
-                    Cycles issued, Cycles done);
+    /** Resolve the miss's home and coherence, pick its path. */
+    void routeMiss(std::uint32_t slot);
+    /** Claim the miss's next leg, or finish it. */
+    void stepMiss(std::uint32_t slot);
+    void finishMiss(std::uint32_t slot);
 
-    void applyMigration(Cycles t, PageNum first_page, int pages_n,
-                        NodeId from, NodeId to);
+    void applyMigration(PageNum first_page, int pages_n, NodeId from,
+                        NodeId to);
+
+    /** Claim node @p node's memory controller for block @p a at
+     *  @p t. @return when the data is ready. */
+    Cycles
+    dramAccess(NodeId node, Cycles t, Addr a)
+    {
+        mem::MemoryController &mc = mcs[node];
+        return mc.access(t, a);
+    }
 
     const SystemSetup &setup;
     const SimScale &scale;
@@ -217,7 +311,7 @@ class PhaseSim
     std::uint64_t windowEnd;
     std::uint64_t warmupInstr;
 
-    EventQueue q;
+    EventQueue<Event> q;
     MachineState &machine;
     topology::Topology &topo;
     std::vector<mem::Cache> &llcs;
@@ -226,35 +320,31 @@ class PhaseSim
     mem::PageMap &pages;
     FlatMap<PageNum, Cycles> &migrating;
     std::vector<CoreState> cores;
+    // Misses in flight and the cores' MSHRs: one arena sized for
+    // every MSHR of every core, since each miss holds one.
+    std::uint32_t mshrSlots;
+    Arena arena;
+    FixedPool<Miss> misses;
+    PhaseStats &st;
     int phase_;
+    Cycles onChip;
     double lightCpi;
     std::uint64_t lastPaceInstr = 0;
     Cycles lastPaceCycle;
     std::uint64_t missCount = 0;
     bool stop = false;
+    // Telemetry gates, read once when the phase is built.
+    bool tracing;  ///< a trace session records counter events
+    bool sampling; ///< a time-series sink records the epoch series
 
     // Simulated-timeline epoch telemetry: the deterministic series
     // is the single source; trace counter events re-emit from it.
     static constexpr obs::TimeSeries::StreamId noStream = ~0u;
-    obs::TimeSeries series;
     std::array<obs::TimeSeries::StreamId, 3> linkStream{};
     obs::TimeSeries::StreamId dramStream = noStream;
     std::array<std::uint64_t, 3> lastLinkBusy{};
     std::uint64_t lastDramRequests = 0;
     Cycles lastTraceCycle;
-
-    // Post-warmup statistics.
-    std::uint64_t statInstructions = 0;
-    Cycles statCycles;
-    std::uint64_t statLlcHits = 0;
-    std::uint64_t statDetailedMisses = 0;
-    std::array<std::uint64_t, accessTypes> statMix{};
-    std::array<stats::Mean, accessTypes> statTypeLatency;
-    stats::Mean statLatency;
-    stats::Mean statMigStall;
-    std::uint64_t statShootdownPages = 0;
-    std::uint64_t statCoherence0 = 0;
-    Cycles endCycle;
 };
 
 // lint: cold-path one-time per-phase construction; telemetry
@@ -265,18 +355,30 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
                    const CoreModel &core_model,
                    const trace::WorkloadTrace &workload_trace,
                    const Checkpoint &checkpoint, int phase,
-                   MachineState &machine_state)
+                   MachineState &machine_state,
+                   PhaseStats &phase_stats)
     : setup(system_setup), scale(sim_scale),
       options(timing_options), core(core_model),
       trace(workload_trace), machine(machine_state),
-      topo(machine.topo),
-      llcs(machine.llcs), mcs(machine.mcs),
+      topo(machine.topo), llcs(machine.llcs), mcs(machine.mcs),
       directory(machine.directory), pages(machine.pages),
-      migrating(machine.migrating), phase_(phase),
-      lightCpi(core.baseCpi * 2)
+      migrating(machine.migrating),
+      cores(options.singleSocketLocal ? scale.coresPerSocket
+                                      : scale.threads()),
+      mshrSlots(static_cast<std::uint32_t>(cores.size()) *
+                static_cast<std::uint32_t>(core.mshrs)),
+      arena(FixedPool<Miss>::arenaBytes(mshrSlots) +
+            mshrSlots * sizeof(Outstanding) + alignof(Outstanding)),
+      misses(arena, mshrSlots),
+      st(phase_stats), phase_(phase),
+      onChip(nsToCycles(setup.sys.onChipNs)),
+      lightCpi(core.baseCpi * 2),
+      tracing(obs::TraceSession::global().enabled()),
+      sampling(obs::TimeSeriesSink::global().enabled())
 {
+    sn_assert(core.mshrs > 0, "cores need at least one MSHR");
     machine.newPhase(checkpoint);
-    statCoherence0 = directory.transactions();
+    st.coherence = directory.transactions();
 
     windowStart = static_cast<std::uint64_t>(phase) *
                   scale.phaseInstructions;
@@ -288,14 +390,15 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
             scale.warmupFraction);
 
     // Cores; the detailed socket is socket 0.
-    int threads = options.singleSocketLocal ? scale.coresPerSocket
-                                            : scale.threads();
-    cores.resize(threads);
-    for (ThreadId t = 0; t < threads; ++t) {
+    for (ThreadId t = 0; t < static_cast<ThreadId>(cores.size());
+         ++t) {
         CoreState &c = cores[t];
         c.thread = t;
         c.socket = t / scale.coresPerSocket;
         c.detailed = (c.socket == 0);
+        c.mshr = arena.allocArray<Outstanding>(
+            static_cast<std::size_t>(core.mshrs));
+        sn_assert(c.mshr, "MSHR arena exhausted");
         const auto &recs = trace.perThread[t];
         auto below = [](const trace::MemRecord &r, std::uint64_t v) {
             return r.instr < v;
@@ -326,10 +429,10 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
     for (int k = 0; k < 3; ++k) {
         if (!link_types[k])
             continue;
-        linkStream[k] = series.addStream(
+        linkStream[k] = st.series.addStream(
             std::string("linkUtil.") + linkTypeNames[k], epochs_est);
     }
-    dramStream = series.addStream("dram.requests", epochs_est);
+    dramStream = st.series.addStream("dram.requests", epochs_est);
 
     // Modeled migrations: the window covers the first
     // detailFraction of the phase, so that share of the phase's
@@ -373,38 +476,71 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
     Cycles when = spacing;
     for (std::size_t i = 0; i < n_regions; ++i) {
         const auto &m = checkpoint.regionMigrations[i];
-        PageNum first = regionFirstPage(m.region, setup.regionBytes);
-        q.schedule(when, [this, first, ppr, m] {
-            applyMigration(q.now(), first, ppr, m.from, m.to);
-        });
+        q.schedule(when,
+                   {.kind = EventKind::Migration,
+                    .from = m.from,
+                    .to = m.to,
+                    .idx = static_cast<std::uint32_t>(ppr),
+                    .arg = regionFirstPage(m.region, setup.regionBytes)
+                               .value()});
         when += spacing;
     }
     when = spacing + Cycles(1);
     for (std::size_t i = 0; i < n_pages; ++i) {
         const auto &m = checkpoint.pageMigrations[i];
-        q.schedule(when, [this, m] {
-            applyMigration(q.now(), m.page, 1, m.from, m.to);
-        });
+        q.schedule(when, {.kind = EventKind::Migration,
+                          .from = m.from,
+                          .to = m.to,
+                          .idx = 1,
+                          .arg = m.page.value()});
         when += spacing;
     }
 }
 
+/** The one dispatcher: every event of the phase lands here. */
 void
-PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
-                         NodeId from, NodeId to)
+PhaseSim::dispatch(const Event &ev)
+{
+    switch (ev.kind) {
+      case EventKind::Issue:
+        return issueNext(cores[ev.idx]);
+      case EventKind::MissHop:
+        return stepMiss(ev.idx);
+      case EventKind::MissResume:
+        return routeMiss(ev.idx);
+      case EventKind::Writeback:
+        dramAccess(ev.from, q.now(), ev.arg);
+        return;
+      case EventKind::Migration:
+        return applyMigration(PageNum(ev.arg),
+                              static_cast<int>(ev.idx), ev.from, ev.to);
+      case EventKind::MigrationChunk: {
+        Cycles arr =
+            topo.send(ev.from, ev.to, q.now(), migrationChunkBytes);
+        if (ev.last)
+            migrating[PageNum(ev.arg)] = arr;
+        return;
+      }
+      case EventKind::Pace:
+        return pace();
+    }
+}
+
+void
+PhaseSim::applyMigration(PageNum first_page, int pages_n, NodeId from,
+                         NodeId to)
 {
     // Shootdowns and the page-map update happen up front; the data
     // streams over the interconnect chunk by chunk, and accesses to
     // a page stall until its last chunk has arrived (§IV-C).
-    Addr chunk_bytes =
-        migrationChunkBlocks * (blockBytes + 8);
+    Cycles t = q.now();
     int chunks_per_page =
         static_cast<int>(pageBytes / blockBytes) /
         migrationChunkBlocks;
     Cycles chunk_gap = serializationCycles(
-        chunk_bytes, std::min({setup.sys.upiGbps,
-                               setup.sys.numalinkGbps,
-                               setup.sys.cxlGbps}));
+        migrationChunkBytes, std::min({setup.sys.upiGbps,
+                                       setup.sys.numalinkGbps,
+                                       setup.sys.cxlGbps}));
 
     Cycles chunk_time = t;
     for (int p = 0; p < pages_n; ++p) {
@@ -412,7 +548,7 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
         if (pages.home(page) == mem::invalidNode)
             continue;
         pages.setHome(page, to);
-        ++statShootdownPages;
+        ++st.shootdownPages;
         if (options.softwareShootdowns) {
             // Conventional shootdown: every core takes an IPI and
             // enters the kernel for every migrated page [64].
@@ -430,14 +566,11 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
 
         for (int ch = 0; ch < chunks_per_page; ++ch) {
             chunk_time += chunk_gap;
-            bool last = (ch == chunks_per_page - 1);
-            q.schedule(chunk_time,
-                       [this, from, to, chunk_bytes, page, last] {
-                           Cycles arr = topo.send(from, to, q.now(),
-                                                  chunk_bytes);
-                           if (last)
-                               migrating[page] = arr;
-                       });
+            q.schedule(chunk_time, {.kind = EventKind::MigrationChunk,
+                                    .last = ch == chunks_per_page - 1,
+                                    .from = from,
+                                    .to = to,
+                                    .arg = page.value()});
         }
         // Conservative availability estimate until the last chunk
         // lands (replaced by the actual arrival above).
@@ -449,57 +582,42 @@ PhaseSim::applyMigration(Cycles t, PageNum first_page, int pages_n,
 // --- memory system ---
 
 void
-PhaseSim::finishMiss(CoreState &c, std::uint64_t instr,
-                     AccessType type, bool count_stats,
-                     Cycles issued, Cycles done)
-{
-    if (count_stats) {
-        ++statMix[static_cast<int>(type)];
-        statLatency.sample(
-            static_cast<double>((done - issued).value()));
-        statTypeLatency[static_cast<int>(type)].sample(
-            static_cast<double>((done - issued).value()));
-        if (c.detailed)
-            ++statDetailedMisses;
-    }
-    onComplete(c, instr, done, type, count_stats, issued);
-}
-
-void
 PhaseSim::startMiss(CoreState &c, Addr vaddr, bool write,
                     std::uint64_t instr, bool count_stats)
 {
     Cycles t = q.now();
-    PageNum page = pageNumber(vaddr);
+    std::uint32_t slot = misses.allocate();
+    misses[slot] = {.instr = instr,
+                    .vaddr = vaddr,
+                    .issued = t,
+                    .core = static_cast<std::uint32_t>(&c - cores.data()),
+                    .write = write,
+                    .countStats = count_stats};
 
     // Stall while the page's migration is in flight.
-    auto mig = migrating.find(page);
+    auto mig = migrating.find(pageNumber(vaddr));
     if (mig != migrating.end()) {
         if (mig->second > t) {
             Cycles resume = mig->second;
-            statMigStall.sample(
+            st.migStall.sample(
                 static_cast<double>((resume - t).value()));
-            q.schedule(resume, [this, &c, vaddr, write, instr,
-                                count_stats, t] {
-                missAfterStall(c, vaddr, write, instr, count_stats,
-                               t);
-            });
+            q.schedule(resume,
+                       {.kind = EventKind::MissResume, .idx = slot});
             return;
         }
         migrating.erase(mig);
     }
-    missAfterStall(c, vaddr, write, instr, count_stats, t);
+    routeMiss(slot);
 }
 
 void
-PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
-                         std::uint64_t instr, bool count_stats,
-                         Cycles issued)
+PhaseSim::routeMiss(std::uint32_t slot)
 {
+    Miss &m = misses[slot];
     Cycles t = q.now();
-    NodeId s = c.socket;
-    Addr block = blockAddr(vaddr);
-    PageNum page = pageNumber(vaddr);
+    NodeId s = cores[m.core].socket;
+    Addr block = blockAddr(m.vaddr);
+    PageNum page = pageNumber(m.vaddr);
 
     NodeId home =
         options.singleSocketLocal ? s : pages.touch(page, s);
@@ -509,7 +627,7 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
     // de-replicates the page.
     if (!machine.replicated.empty()) {
         if (machine.replicated.contains(page)) {
-            if (write) {
+            if (m.write) {
                 machine.replicated.erase(page);
                 for (NodeId x = 0; x < setup.sys.sockets; ++x) {
                     if (x == s)
@@ -523,131 +641,120 @@ PhaseSim::missAfterStall(CoreState &c, Addr vaddr, bool write,
         }
     }
 
-    auto coh = directory.access(block, s, write, home);
+    auto coh = directory.access(block, s, m.write, home);
     if (coh.invalidatedMask) {
         for (NodeId x = 0; x < setup.sys.sockets; ++x)
             if (coh.invalidatedMask & (1ULL << x))
                 llcs[x].invalidate(block);
     }
 
-    Cycles on_chip = nsToCycles(setup.sys.onChipNs);
-
     if (coh.blockTransfer && coh.owner != s) {
         if (coh.viaPool) {
-            // 4-hop R -> H(pool) -> O -> H -> R (Fig 4).
             NodeId pool = topo.poolNode();
-            NodeId owner = coh.owner;
-            Cycles t1 = topo.send(s, pool, t, topology::ctrlBytes);
-            q.schedule(t1, [this, &c, pool, owner, s, block, instr,
-                            count_stats, issued, on_chip] {
-                Cycles t1m =
-                    mcs[pool].access(q.now() + on_chip, block);
-                q.schedule(t1m, [this, &c, pool, owner, s, instr,
-                                 count_stats, issued] {
-                    Cycles t2 = topo.send(pool, owner, q.now(),
-                                          topology::ctrlBytes);
-                    q.schedule(t2, [this, &c, pool, owner, s, instr,
-                                    count_stats, issued] {
-                        Cycles t3 =
-                            topo.send(owner, pool, q.now(),
-                                      topology::dataBytes);
-                        q.schedule(t3, [this, &c, pool, s, instr,
-                                        count_stats, issued] {
-                            Cycles done =
-                                topo.send(pool, s, q.now(),
-                                          topology::dataBytes);
-                            q.schedule(done, [this, &c, instr,
-                                              count_stats, issued] {
-                                finishMiss(c, instr,
-                                           AccessType::BtPool,
-                                           count_stats, issued,
-                                           q.now());
-                            });
-                        });
-                    });
-                });
-            });
+            m.type = AccessType::BtPool;
+            m.route = {s, pool, coh.owner, pool, s};
         } else {
-            // 3-hop R -> H -> O -> R.
-            NodeId owner = coh.owner;
-            Cycles t1 = topo.send(s, home, t, topology::ctrlBytes);
-            q.schedule(t1, [this, &c, home, owner, s, block, instr,
-                            count_stats, issued, on_chip] {
-                Cycles t1m =
-                    mcs[home].access(q.now() + on_chip, block);
-                q.schedule(t1m, [this, &c, home, owner, s, instr,
-                                 count_stats, issued] {
-                    Cycles t2 = topo.send(home, owner, q.now(),
-                                          topology::ctrlBytes);
-                    q.schedule(t2, [this, &c, owner, s, instr,
-                                    count_stats, issued] {
-                        Cycles done =
-                            topo.send(owner, s, q.now(),
-                                      topology::dataBytes);
-                        q.schedule(done, [this, &c, instr,
-                                          count_stats, issued] {
-                            finishMiss(c, instr,
-                                       AccessType::BtSocket,
-                                       count_stats, issued,
-                                       q.now());
-                        });
-                    });
-                });
-            });
+            m.type = AccessType::BtSocket;
+            m.route = {s, home, coh.owner, s, s};
         }
+    } else {
+        switch (topo.classify(s, home)) {
+          case topology::AccessClass::Local:
+            m.type = AccessType::Local;
+            break;
+          case topology::AccessClass::OneHop:
+            m.type = AccessType::OneHop;
+            break;
+          case topology::AccessClass::TwoHop:
+            m.type = AccessType::TwoHop;
+            break;
+          default:
+            m.type = AccessType::Pool;
+            break;
+        }
+        m.route = {s, home, s, s, s};
+    }
+    stepMiss(slot);
+}
+
+void
+PhaseSim::stepMiss(std::uint32_t slot)
+{
+    Miss &m = misses[slot];
+    Cycles t = q.now();
+    Cycles next;
+    Leg leg = legPlan[static_cast<int>(m.type)][m.leg++];
+    switch (leg) {
+      case Leg::Dram:
+        next = dramAccess(m.route[m.at], t + onChip,
+                          blockAddr(m.vaddr));
+        break;
+      case Leg::Ctrl:
+      case Leg::Data:
+        next = topo.send(m.route[m.at], m.route[m.at + 1], t,
+                         leg == Leg::Ctrl ? topology::ctrlBytes
+                                          : topology::dataBytes);
+        ++m.at;
+        break;
+      case Leg::Done:
+        finishMiss(slot);
         return;
     }
+    q.schedule(next, {.kind = EventKind::MissHop, .idx = slot});
+}
 
-    if (topo.classify(s, home) == topology::AccessClass::Local) {
-        Cycles done = mcs[s].access(t + on_chip, block);
-        q.schedule(done, [this, &c, instr, count_stats, issued] {
-            finishMiss(c, instr, AccessType::Local, count_stats,
-                       issued, q.now());
-        });
-        return;
+void
+PhaseSim::finishMiss(std::uint32_t slot)
+{
+    const Miss m = misses[slot];
+    misses.release(slot);
+    CoreState &c = cores[m.core];
+    if (m.countStats) {
+        double latency =
+            static_cast<double>((q.now() - m.issued).value());
+        ++st.mix[static_cast<int>(m.type)];
+        st.latency.sample(latency);
+        st.typeLatency[static_cast<int>(m.type)].sample(latency);
+        if (c.detailed)
+            ++st.detailedMisses;
     }
-
-    AccessType type;
-    switch (topo.classify(s, home)) {
-      case topology::AccessClass::OneHop:
-        type = AccessType::OneHop;
-        break;
-      case topology::AccessClass::TwoHop:
-        type = AccessType::TwoHop;
-        break;
-      default:
-        type = AccessType::Pool;
-        break;
+    for (std::uint32_t i = 0; i < c.inFlight; ++i) {
+        if (!c.mshr[i].complete && c.mshr[i].instr == m.instr) {
+            c.mshr[i].complete = true;
+            break;
+        }
     }
-    Cycles t1 = topo.send(s, home, t, topology::ctrlBytes);
-    q.schedule(t1, [this, &c, home, s, block, instr, count_stats,
-                    issued, on_chip, type] {
-        Cycles t2 = mcs[home].access(q.now() + on_chip, block);
-        q.schedule(t2, [this, &c, home, s, instr, count_stats,
-                        issued, type] {
-            Cycles done =
-                topo.send(home, s, q.now(), topology::dataBytes);
-            q.schedule(done,
-                       [this, &c, instr, count_stats, issued, type] {
-                           finishMiss(c, instr, type, count_stats,
-                                      issued, q.now());
-                       });
-        });
-    });
+    retireCompleted(c);
+    if (c.blocked) {
+        c.blocked = false;
+        scheduleIssue(c, std::max(q.now(), c.readyTime));
+    }
 }
 
 // --- core actors ---
+
+void
+PhaseSim::retireCompleted(CoreState &c)
+{
+    std::uint32_t k = 0;
+    while (k < c.inFlight && c.mshr[k].complete)
+        ++k;
+    if (k) {
+        std::copy(c.mshr + k, c.mshr + c.inFlight, c.mshr);
+        c.inFlight -= k;
+    }
+}
 
 bool
 PhaseSim::frontBlocks(const CoreState &c,
                       std::uint64_t next_instr) const
 {
-    if (c.pending.empty())
+    if (!c.inFlight)
         return false;
-    const Outstanding &front = c.pending.front();
+    const Outstanding &front = c.mshr[0];
     if (front.complete)
         return false;
-    if (c.pending.size() >= static_cast<std::size_t>(core.mshrs))
+    if (c.inFlight >= static_cast<std::uint32_t>(core.mshrs))
         return true;
     if (c.detailed &&
         front.instr + static_cast<std::uint64_t>(core.robEntries) <=
@@ -662,23 +769,21 @@ PhaseSim::scheduleIssue(CoreState &c, Cycles when)
     if (c.issuePending || c.done)
         return;
     c.issuePending = true;
-    q.schedule(std::max(when, q.now()), [this, &c] {
-        c.issuePending = false;
-        issueNext(c);
-    });
+    q.schedule(std::max(when, q.now()),
+               {.kind = EventKind::Issue,
+                .idx = static_cast<std::uint32_t>(&c - cores.data())});
 }
 
 void
 PhaseSim::issueNext(CoreState &c)
 {
+    c.issuePending = false;
     if (c.done)
         return;
-    // Retire completed misses off the front.
-    while (!c.pending.empty() && c.pending.front().complete)
-        c.pending.pop_front();
+    retireCompleted(c);
 
     if (c.idx >= c.end) {
-        if (c.pending.empty())
+        if (!c.inFlight)
             finishCore(c);
         else
             c.blocked = true; // resume on completion
@@ -704,7 +809,8 @@ PhaseSim::issueNext(CoreState &c)
 
     // LLC lookup happens inline; only misses travel.
     NodeId s = c.socket;
-    auto look = llcs[s].access(r.vaddr(), r.isWrite());
+    mem::Cache &llc = llcs[s];
+    auto look = llc.access(r.vaddr(), r.isWrite());
     ++c.idx;
     std::uint64_t this_instr = r.instr;
 
@@ -722,7 +828,7 @@ PhaseSim::issueNext(CoreState &c)
 
     if (look.hit) {
         if (count_stats)
-            ++statLlcHits;
+            ++st.llcHits;
         c.readyTime += c.detailed ? core.llcHitLatency : Cycles();
         scheduleIssue(c, c.readyTime);
         return;
@@ -737,50 +843,32 @@ PhaseSim::issueNext(CoreState &c)
                             ? s
                             : pages.home(pageNumber(look.victim));
             if (vh == s) {
-                mcs[s].access(t, look.victim);
+                dramAccess(s, t, look.victim);
             } else if (vh != mem::invalidNode) {
                 Cycles arr =
                     topo.send(s, vh, t, topology::dataBytes);
-                Addr victim = look.victim;
-                q.schedule(arr, [this, vh, victim] {
-                    mcs[vh].access(q.now(), victim);
-                });
+                q.schedule(arr, {.kind = EventKind::Writeback,
+                                 .from = vh,
+                                 .arg = look.victim});
             }
         }
     }
     // Tracker metadata update traffic (StarNUMA only).
     if (setup.sys.hasPool && (missCount % metadataWritePeriod) == 0)
-        mcs[s].access(t, blockAddr(r.vaddr()) ^ 0x3c3cc3c3);
+        dramAccess(s, t, blockAddr(r.vaddr()) ^ 0x3c3cc3c3);
 
-    c.pending.push_back({this_instr, Cycles(), false});
+    sn_assert(c.inFlight < static_cast<std::uint32_t>(core.mshrs),
+              "MSHR overflow");
+    c.mshr[c.inFlight++] = Outstanding{this_instr, false};
     startMiss(c, r.vaddr(), r.isWrite(), this_instr, count_stats);
     scheduleIssue(c, c.readyTime);
-}
-
-void
-PhaseSim::onComplete(CoreState &c, std::uint64_t instr, Cycles done,
-                     AccessType, bool, Cycles)
-{
-    for (auto &o : c.pending) {
-        if (!o.complete && o.instr == instr) {
-            o.complete = true;
-            o.done = done;
-            break;
-        }
-    }
-    while (!c.pending.empty() && c.pending.front().complete)
-        c.pending.pop_front();
-    if (c.blocked) {
-        c.blocked = false;
-        scheduleIssue(c, std::max(q.now(), c.readyTime));
-    }
 }
 
 void
 PhaseSim::finishCore(CoreState &c)
 {
     Cycles t = std::max(q.now(), c.readyTime);
-    c.pending.clear();
+    c.inFlight = 0;
     if (c.lastInstr < windowEnd) {
         t += Cycles(static_cast<double>(windowEnd - c.lastInstr) *
                     (c.detailed ? core.baseCpi : lightCpi));
@@ -817,16 +905,15 @@ PhaseSim::pace()
     // One sampling point feeds both telemetry channels (DESIGN.md
     // §14): the deterministic series, and the trace counters that
     // re-emit from it.
-    const bool tracing = obs::TraceSession::global().enabled();
-    if (tracing || obs::TimeSeriesSink::global().enabled())
+    if (tracing || sampling)
         sampleEpoch(tracing);
     if (!stop)
-        q.scheduleAfter(pacerPeriod, [this] { pace(); });
+        q.scheduleAfter(pacerPeriod, {.kind = EventKind::Pace});
 }
 
 // lint: cold-path pacer-epoch telemetry; only invoked when a trace
 // session or time-series sink is enabled (see pace() gates)
-void
+STARNUMA_COLD_PATH void
 PhaseSim::sampleEpoch(bool emit_trace)
 {
     // Per-pacer-epoch samples on the simulated timeline. Busy
@@ -851,6 +938,7 @@ PhaseSim::sampleEpoch(bool emit_trace)
             ++cnt[k];
         }
     }
+    obs::TimeSeries &series = st.series;
     std::uint64_t t = now.value();
     for (int k = 0; k < 3; ++k) {
         if (linkStream[k] == noStream)
@@ -896,7 +984,9 @@ PhaseSim::allDetailedDone() const
     return true;
 }
 
-void
+// lint: hot-path root of step C: every event of a phase is
+// dispatched from this loop unless explicitly marked cold.
+STARNUMA_HOT_ROOT void
 PhaseSim::run()
 {
     for (CoreState &c : cores) {
@@ -913,14 +1003,15 @@ PhaseSim::run()
             static_cast<double>(r.instr - windowStart) * cpi);
         scheduleIssue(c, c.readyTime);
     }
-    q.scheduleAfter(Cycles(2000), [this] { pace(); });
+    q.scheduleAfter(Cycles(2000), {.kind = EventKind::Pace});
 
     stop = allDetailedDone();
     // Hard ceiling to bound runaway phases.
     Cycles limit(static_cast<double>(scale.detailInstructions()) *
                  2000.0);
+    auto handle = [this](const Event &ev) { dispatch(ev); };
     while (!stop && !q.empty() && q.now() < limit)
-        q.step();
+        q.step(handle);
 
     for (CoreState &c : cores) {
         if (!c.detailed)
@@ -930,63 +1021,61 @@ PhaseSim::run()
         Cycles start = c.warmupCrossed ? c.warmupCycle : Cycles();
         std::uint64_t instr0 =
             c.warmupCrossed ? warmupInstr : windowStart;
-        statInstructions += windowEnd - instr0;
-        statCycles +=
+        st.instructions += windowEnd - instr0;
+        st.cycles +=
             c.doneCycle > start ? c.doneCycle - start : Cycles(1);
     }
-    statCoherence0 = directory.transactions() - statCoherence0;
-    endCycle = q.now();
+    st.coherence = directory.transactions() - st.coherence;
+    st.horizon = q.now();
 }
 
 void
-PhaseSim::accumulate(RunMetrics &m) const
+PhaseStats::accumulate(RunMetrics &m) const
 {
-    m.instructions += statInstructions;
-    m.cycles += statCycles;
-    m.llcHits += statLlcHits;
-    std::uint64_t misses = 0;
+    m.instructions += instructions;
+    m.cycles += cycles;
+    m.llcHits += llcHits;
+    std::uint64_t n_misses = 0;
     for (int i = 0; i < accessTypes; ++i)
-        misses += statMix[i];
+        n_misses += mix[i];
     double prev_sum =
         m.amatCycles * static_cast<double>(m.memAccesses);
-    m.memAccesses += misses;
+    m.memAccesses += n_misses;
     m.amatCycles =
-        m.memAccesses ? (prev_sum + statLatency.sum()) /
+        m.memAccesses ? (prev_sum + latency.sum()) /
                             static_cast<double>(m.memAccesses)
                       : 0.0;
     for (int i = 0; i < accessTypes; ++i)
-        m.mix[i] += static_cast<double>(statMix[i]); // raw counts
-    m.coherenceTransactions += statCoherence0;
-    m.blockTransfers +=
-        statMix[static_cast<int>(AccessType::BtSocket)] +
-        statMix[static_cast<int>(AccessType::BtPool)];
-    m.shootdownPages += statShootdownPages;
-    m.detailedMisses += statDetailedMisses;
+        m.mix[i] += static_cast<double>(mix[i]); // raw counts
+    m.coherenceTransactions += coherence;
+    m.blockTransfers += mix[static_cast<int>(AccessType::BtSocket)] +
+                        mix[static_cast<int>(AccessType::BtPool)];
+    m.shootdownPages += shootdownPages;
+    m.detailedMisses += detailedMisses;
     for (int i = 0; i < accessTypes; ++i)
-        m.typeLatency[i] += statTypeLatency[i].sum(); // raw sums
-    m.migrationStallCycles += statMigStall.sum();
+        m.typeLatency[i] += typeLatency[i].sum(); // raw sums
+    m.migrationStallCycles += migStall.sum();
 }
 
 // lint: cold-path stats export, once per run when observing
 void
-PhaseSim::registerStats(obs::Registry &r) const
+PhaseStats::registerStats(obs::Registry &r) const
 {
-    r.addCounter("instructions", &statInstructions);
-    r.addCounterFn("cycles",
-                   [this] { return statCycles.value(); });
-    r.addCounter("llcHits", &statLlcHits);
-    r.addCounter("detailedMisses", &statDetailedMisses);
-    r.addCounter("shootdownPages", &statShootdownPages);
-    r.addCounter("coherenceTransactions", &statCoherence0);
+    r.addCounter("instructions", &instructions);
+    r.addCounterFn("cycles", [this] { return cycles.value(); });
+    r.addCounter("llcHits", &llcHits);
+    r.addCounter("detailedMisses", &detailedMisses);
+    r.addCounter("shootdownPages", &shootdownPages);
+    r.addCounter("coherenceTransactions", &coherence);
     r.addCounterFn("horizonCycles",
-                   [this] { return endCycle.value(); });
-    r.addMean("latencyCycles", &statLatency);
-    r.addMean("migrationStallCycles", &statMigStall);
+                   [this] { return horizon.value(); });
+    r.addMean("latencyCycles", &latency);
+    r.addMean("migrationStallCycles", &migStall);
     for (int i = 0; i < accessTypes; ++i) {
         std::string t =
             accessTypeName(static_cast<AccessType>(i));
-        r.addCounter("mix." + t, &statMix[i]);
-        r.addMean("typeLatencyCycles." + t, &statTypeLatency[i]);
+        r.addCounter("mix." + t, &mix[i]);
+        r.addMean("typeLatencyCycles." + t, &typeLatency[i]);
     }
 }
 
@@ -1007,95 +1096,86 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     RunMetrics m;
     stats_ = obs::Snapshot();
     timeseries_ = obs::TimeSeries();
-    Cycles total_horizon;
-    std::unique_ptr<MachineState> shared_machine;
-    std::unique_ptr<MachineState> last_machine;
 
+    // Flat page tables over the trace's dense span, when it covers
+    // every page a checkpoint maps (a replay of this trace always
+    // does; a hand-built placement might not).
+    PageSpan span = densePageSpan(trace);
+    for (const Checkpoint &cp : placement.checkpoints)
+        for (const auto &[page, home] : cp.pageHome)
+            if (page.value() - span.lo.value() >= span.pages)
+                span.pages = 0;
+
+    // The machine that feeds the link diagnostics below: the last
+    // phase's (independent phases) or the shared one (sequential).
+    std::unique_ptr<MachineState> machine;
+    auto make_machine = [&] {
+        return std::make_unique<MachineState>(
+            setup, scale, core, span,
+            placement.replication.replicated);
+    };
+    std::vector<PhaseStats> phases(scale.phases);
+    auto run_phase = [&](int phase, MachineState &on) {
+        obs::TraceSpan trace_span(
+            "phase " + std::to_string(phase), "timing",
+            obs::TraceArgs().add("phase", phase).str());
+        PhaseSim(setup, scale, options, core, trace,
+                 placement.checkpoints[phase], phase, on,
+                 phases[phase])
+            .run();
+    };
     if (options.independentPhases) {
         // §IV-A3 literally: N independent timing simulations, one
         // per phase, fanned out over the fixed-size worker pool.
-        // Each phase owns its machine state and event queue, and the
-        // accumulation below walks the phases in canonical order, so
-        // the merged metrics are bitwise-identical for any pool size.
-        std::vector<std::unique_ptr<MachineState>> machines;
-        std::vector<std::unique_ptr<PhaseSim>> sims;
-        for (int phase = 0; phase < scale.phases; ++phase) {
-            machines.push_back(std::make_unique<MachineState>(
-                setup, scale, core));
-            machines.back()->replicated =
-                placement.replication.replicated;
-            sims.push_back(std::make_unique<PhaseSim>(
-                setup, scale, options, core, trace,
-                placement.checkpoints[phase], phase,
-                *machines.back()));
-        }
+        // Each task builds its phase's event queue, runs it, and
+        // frees its machine; only the last phase's machine is kept.
+        // The machines themselves are built here, on the calling
+        // thread, so they come from one malloc arena: built inside
+        // the tasks, they spread over the workers' arenas and the
+        // cold sweep's peak RSS rose. The accumulation below walks
+        // the phases in canonical order, so the merged metrics are
+        // bitwise-identical for any pool size.
+        std::vector<std::unique_ptr<MachineState>> machines(
+            phases.size());
+        for (auto &mine : machines)
+            mine = make_machine();
         ThreadPool::global().parallelFor(
-            sims.size(), [&sims](std::size_t i) {
-                obs::TraceSpan span(
-                    "phase " + std::to_string(i), "timing",
-                    obs::TraceArgs()
-                        .add("phase", static_cast<int>(i))
-                        .str());
-                sims[i]->run();
+            phases.size(), [&](std::size_t i) {
+                run_phase(static_cast<int>(i), *machines[i]);
+                if (i + 1 != phases.size())
+                    machines[i].reset();
             });
-        // Phase order is canonical here, so the merged snapshot and
-        // series are identical for any pool size.
-        const bool collect = obs::StatsSink::global().enabled();
-        const bool collect_ts =
-            obs::TimeSeriesSink::global().enabled();
-        for (std::size_t i = 0; i < sims.size(); ++i) {
-            sims[i]->accumulate(m);
-            total_horizon += sims[i]->horizon();
-            if (collect) {
-                obs::Registry reg;
-                sims[i]->registerStats(reg);
-                stats_.merge(phasePrefix(static_cast<int>(i)),
-                             reg.snapshot());
-            }
-            if (collect_ts)
-                timeseries_.merge(phasePrefix(static_cast<int>(i)),
-                                  sims[i]->timeseries());
-        }
-        last_machine = std::move(machines.back());
+        machine = std::move(machines.back());
     } else {
-        shared_machine = std::make_unique<MachineState>(
-            setup, scale, core);
-        shared_machine->replicated =
-            placement.replication.replicated;
-        const bool collect = obs::StatsSink::global().enabled();
-        const bool collect_ts =
-            obs::TimeSeriesSink::global().enabled();
-        for (int phase = 0; phase < scale.phases; ++phase) {
-            PhaseSim sim(setup, scale, options, core, trace,
-                         placement.checkpoints[phase], phase,
-                         *shared_machine);
-            {
-                obs::TraceSpan span(
-                    "phase " + std::to_string(phase), "timing",
-                    obs::TraceArgs().add("phase", phase).str());
-                sim.run();
-            }
-            sim.accumulate(m);
-            total_horizon += sim.horizon();
-            if (collect) {
-                obs::Registry reg;
-                sim.registerStats(reg);
-                stats_.merge(phasePrefix(phase), reg.snapshot());
-            }
-            if (collect_ts)
-                timeseries_.merge(phasePrefix(phase),
-                                  sim.timeseries());
-        }
+        machine = make_machine();
+        for (int phase = 0; phase < scale.phases; ++phase)
+            run_phase(phase, *machine);
     }
-    MachineState &machine =
-        options.independentPhases ? *last_machine
-                                  : *shared_machine;
+
+    // Phase order is canonical here, so the merged snapshot and
+    // series are identical for any pool size.
+    Cycles total_horizon;
+    const bool collect = obs::StatsSink::global().enabled();
+    const bool collect_ts = obs::TimeSeriesSink::global().enabled();
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        phases[i].accumulate(m);
+        total_horizon += phases[i].horizon;
+        if (collect) {
+            obs::Registry reg;
+            phases[i].registerStats(reg);
+            stats_.merge(phasePrefix(static_cast<int>(i)),
+                         reg.snapshot());
+        }
+        if (collect_ts)
+            timeseries_.merge(phasePrefix(static_cast<int>(i)),
+                              phases[i].series);
+    }
 
     // Component-level stats of the surviving machine (independent
     // phases: the last phase's machine; sequential: cumulative).
-    if (obs::StatsSink::global().enabled()) {
+    if (collect) {
         obs::Registry reg;
-        machine.registerStats(reg);
+        machine->registerStats(reg);
         stats_.merge("machine.", reg.snapshot());
     }
 
@@ -1103,7 +1183,6 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     // mean phase horizon).
     {
         using topology::Dir;
-        using topology::LinkType;
         double uti[3] = {0, 0, 0};
         int cnt[3] = {0, 0, 0};
         double max_util = 0;
@@ -1111,7 +1190,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         Cycles horizon = total_horizon != Cycles()
                              ? total_horizon / scale.phases
                              : Cycles(1);
-        for (const auto &link : machine.topo.links()) {
+        for (const auto &link : machine->topo.links()) {
             for (Dir d : {Dir::Forward, Dir::Backward}) {
                 double u = link.utilization(d, horizon);
                 int k = static_cast<int>(link.type());
@@ -1131,7 +1210,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         m.meanLinkQueueNs = cyclesToNs(queue.mean());
         double dq = 0;
         std::uint64_t dn = 0;
-        for (const auto &mc : machine.mcs) {
+        for (const auto &mc : machine->mcs) {
             dq += mc.meanQueueDelay() *
                   static_cast<double>(mc.requests());
             dn += mc.requests();

@@ -74,6 +74,41 @@ TraceSim::run(const trace::WorkloadTrace &trace,
     return result;
 }
 
+// lint: cold-path one span per replay or timing run
+PageSpan
+densePageSpan(const trace::WorkloadTrace &trace)
+{
+    PageSpan span;
+    std::uint64_t min = ~std::uint64_t(0);
+    std::uint64_t max = 0;
+    if (trace.maxPage.value() != 0 || trace.minPage.value() != 0) {
+        min = trace.minPage.value();
+        max = trace.maxPage.value();
+    } else {
+        for (const auto &ft : trace.firstTouches) {
+            min = std::min(min, ft.page.value());
+            max = std::max(max, ft.page.value());
+        }
+        for (const auto &recs : trace.perThread) {
+            for (const auto &r : recs) {
+                std::uint64_t p = pageNumber(r.vaddr()).value();
+                min = std::min(min, p);
+                max = std::max(max, p);
+            }
+        }
+    }
+    if (min > max)
+        return span; // empty trace
+    // Plausibility: a bump-allocated span exceeds the footprint by
+    // at most a little slack; anything sparser keeps hashed tables.
+    std::uint64_t pages = max - min + 1;
+    if (pages <= pagesIn(trace.footprintBytes) + 1024) {
+        span.lo = PageNum(min);
+        span.pages = pages;
+    }
+    return span;
+}
+
 namespace
 {
 
@@ -86,45 +121,6 @@ snapshot(const mem::PageMap &pm)
     out.reserve(pm.totalPages());
     pm.forEach([&](PageNum page, NodeId home) { out[page] = home; });
     return out;
-}
-
-/**
- * Page span [lo, hi] over every page the replay will touch (records
- * and first touches). Captured traces bump-allocate their address
- * space, so the span is dense and the hot-path tables can switch to
- * flat array storage over it. Capture and the columnar decoder
- * stamp the span on the trace; hand-built traces leave it unknown
- * and pay one linear scan here.
- * @return false for an empty trace.
- */
-bool
-pageSpan(const trace::WorkloadTrace &trace, PageNum &lo,
-         PageNum &hi)
-{
-    if (trace.maxPage.value() != 0 ||
-        trace.minPage.value() != 0) {
-        lo = trace.minPage;
-        hi = trace.maxPage;
-        return true;
-    }
-    std::uint64_t min = ~std::uint64_t(0);
-    std::uint64_t max = 0;
-    for (const auto &ft : trace.firstTouches) {
-        min = std::min(min, ft.page.value());
-        max = std::max(max, ft.page.value());
-    }
-    for (const auto &recs : trace.perThread) {
-        for (const auto &r : recs) {
-            std::uint64_t p = pageNumber(r.vaddr()).value();
-            min = std::min(min, p);
-            max = std::max(max, p);
-        }
-    }
-    if (min > max)
-        return false;
-    lo = PageNum(min);
-    hi = PageNum(max);
-    return true;
 }
 
 /**
@@ -471,13 +467,9 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
     // page/region table flat array storage over it (identical
     // behavior, array indexing instead of hashing on the hot path).
     // Sparse hand-built traces keep the FlatMap storage.
-    PageNum spanLo{0}, spanHi{0};
-    std::uint64_t spanPages = 0;
-    if (pageSpan(trace, spanLo, spanHi)) {
-        std::uint64_t span = spanHi.value() - spanLo.value() + 1;
-        if (span <= result.footprintPages + 1024)
-            spanPages = span;
-    }
+    const PageSpan dense = densePageSpan(trace);
+    const PageNum spanLo = dense.lo;
+    const std::uint64_t spanPages = dense.pages;
 
     mem::PageMap pm(nodes);
 
@@ -504,7 +496,7 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
                                 setup.regionBytes);
     if (spanPages > 0) {
         core::RegionId first = tracker.regionOf(pageBase(spanLo));
-        core::RegionId last = tracker.regionOf(pageBase(spanHi));
+        core::RegionId last = tracker.regionOf(pageBase(dense.last()));
         tracker.preallocate(first, last - first + 1);
     }
     std::vector<core::TlbAnnex> tlbs;
@@ -761,13 +753,9 @@ TraceSim::runStaticOracle(const trace::WorkloadTrace &trace)
                    setup.sys.poolCapacityFraction)
              : 0;
 
-    PageNum spanLo{0}, spanHi{0};
-    std::uint64_t spanPages = 0;
-    if (pageSpan(trace, spanLo, spanHi)) {
-        std::uint64_t span = spanHi.value() - spanLo.value() + 1;
-        if (span <= result.footprintPages + 1024)
-            spanPages = span;
-    }
+    const PageSpan dense = densePageSpan(trace);
+    const PageNum spanLo = dense.lo;
+    const std::uint64_t spanPages = dense.pages;
 
     // A priori knowledge: feed the whole run into the oracle.
     core::OraclePlacement oracle(setup.sys.sockets);

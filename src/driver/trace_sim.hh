@@ -50,6 +50,28 @@ struct Checkpoint
     std::uint64_t migratedPages(int pages_per_region) const;
 };
 
+/**
+ * Dense page range [lo, lo + pages) of a trace, over which the page
+ * tables of replay (step B) and timing (step C) switch to flat
+ * array storage. Captured traces bump-allocate their address space,
+ * so the span covers every page the run touches (records and first
+ * touches); capture and the columnar decoder stamp it on the trace,
+ * and hand-built traces pay one linear scan here. pages == 0 when
+ * the trace is empty or implausibly sparse — a span wider than the
+ * footprint plus 1024 pages of slack — and the tables then keep
+ * their hashed storage.
+ */
+struct PageSpan
+{
+    PageNum lo{0};
+    std::uint64_t pages = 0;
+
+    /** Last page of a non-empty span. */
+    PageNum last() const { return lo + PageNum(pages - 1); }
+};
+
+PageSpan densePageSpan(const trace::WorkloadTrace &trace);
+
 /** Output of step B. */
 struct TraceSimResult
 {

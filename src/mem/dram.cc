@@ -82,9 +82,10 @@ MemoryController::MemoryController(int channels,
 Cycles
 MemoryController::access(Cycles now, Addr addr)
 {
-    auto chan = static_cast<std::size_t>(
-        (addr / blockBytes) % chans.size());
-    return chans[chan].access(now, addr);
+    DramChannel &chan =
+        chans[static_cast<std::size_t>((addr / blockBytes) %
+                                       chans.size())];
+    return chan.access(now, addr);
 }
 
 Cycles

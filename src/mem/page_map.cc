@@ -55,10 +55,13 @@ PageMap::setHome(PageNum page, NodeId node)
         }
     } else {
         NodeId &h = flat[flatSlot(page)];
-        if (h == invalidNode)
+        if (h == invalidNode) {
+            // lint: cold-path a page's first mapping; preallocate()
+            // reserved the order vector, so this never reallocates
             order.push_back(page);
-        else
+        } else {
             --counts[h];
+        }
         h = node;
     }
     ++counts[node];

@@ -92,4 +92,15 @@
 #define STARNUMA_COLD_PATH
 #endif
 
+/**
+ * Keep a hot-path root that has a single caller (so the compiler
+ * would fold it into that caller) as its own symbol, so that
+ * scripts/check_hotpath_syms.sh can find and audit it.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define STARNUMA_HOT_ROOT __attribute__((noinline))
+#else
+#define STARNUMA_HOT_ROOT
+#endif
+
 #endif // STARNUMA_SIM_ANNOTATIONS_HH

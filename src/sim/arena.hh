@@ -107,6 +107,59 @@ class Arena
     std::uint64_t exhaustions_ = 0;
 };
 
+/**
+ * Fixed-capacity pool of trivially-copyable @p T carved out of an
+ * Arena: slots are addressed by index and recycled through a free
+ * stack, so allocate/release are a load and a store. Exhausting
+ * the pool is an invariant failure — size it for the worst case.
+ */
+template <typename T>
+class FixedPool
+{
+  public:
+    FixedPool(Arena &arena, std::uint32_t capacity)
+        : items(arena.allocArray<T>(capacity)),
+          freeSlots(arena.allocArray<std::uint32_t>(capacity)),
+          capacity_(capacity), free_(capacity)
+    {
+        sn_assert(items && freeSlots, "arena too small for the pool");
+        // Hand out low slots first.
+        for (std::uint32_t i = 0; i < capacity; ++i)
+            freeSlots[i] = capacity - 1 - i;
+    }
+
+    /** Bytes of arena a pool of @p capacity needs, alignment
+     *  padding included. */
+    static constexpr std::size_t
+    arenaBytes(std::uint32_t capacity)
+    {
+        return capacity * (sizeof(T) + sizeof(std::uint32_t)) +
+               alignof(T) + alignof(std::uint32_t);
+    }
+
+    std::uint32_t
+    allocate()
+    {
+        sn_assert(free_ > 0, "fixed pool of %u exhausted", capacity_);
+        return freeSlots[--free_];
+    }
+
+    void release(std::uint32_t slot) { freeSlots[free_++] = slot; }
+
+    T &operator[](std::uint32_t slot) { return items[slot]; }
+
+    std::uint32_t capacity() const { return capacity_; }
+
+    /** Slots currently handed out. */
+    std::uint32_t live() const { return capacity_ - free_; }
+
+  private:
+    T *items;
+    std::uint32_t *freeSlots;
+    std::uint32_t capacity_;
+    std::uint32_t free_;
+};
+
 } // namespace starnuma
 
 #endif // STARNUMA_SIM_ARENA_HH

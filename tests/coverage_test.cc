@@ -63,15 +63,17 @@ TEST(LinkStats, UnloadedArrivalDoesNotMutate)
 
 TEST(EventQueueAccessors, PendingAndEmpty)
 {
-    EventQueue q;
+    EventQueue<int> q;
     EXPECT_TRUE(q.empty());
-    q.schedule(Cycles(5), [] {});
-    q.schedule(Cycles(9), [] {});
-    EXPECT_EQ(q.pending(), 2u);
+    q.schedule(Cycles(5), 0);
+    q.schedule(Cycles(9), 0);
+    q.schedule(Cycles(9 + EventQueue<int>::wheelSpan), 0);
+    EXPECT_EQ(q.pending(), 3u);
     EXPECT_FALSE(q.empty());
-    q.run();
+    q.run([](int) {});
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.now(), Cycles(9));
+    EXPECT_EQ(q.executed(), 3u);
+    EXPECT_EQ(q.now(), Cycles(9 + EventQueue<int>::wheelSpan));
 }
 
 TEST(TraceCache, CachedGeneratesOnceThenLoads)
@@ -137,10 +139,10 @@ TEST(CoverageDeathTest, TableRowWidthMismatchPanics)
 
 TEST(CoverageDeathTest, EventQueueSchedulingIntoPastPanics)
 {
-    EventQueue q;
-    q.schedule(Cycles(100), [] {});
-    q.run();
-    EXPECT_DEATH(q.schedule(Cycles(50), [] {}), "assertion");
+    EventQueue<int> q;
+    q.schedule(Cycles(100), 0);
+    q.run([](int) {});
+    EXPECT_DEATH(q.schedule(Cycles(50), 0), "assertion");
 }
 
 TEST(CoverageDeathTest, RouteOutOfRangePanics)

@@ -420,6 +420,41 @@ TEST(TimingSim, IndependentPhasesDeterministic)
     EXPECT_DOUBLE_EQ(ma.amatCycles, mb.amatCycles);
 }
 
+TEST(TimingSim, FlatPageMapMatchesHashedMap)
+{
+    // Step C switches its page map to a flat table over the trace's
+    // dense page span. Whether that span is stamped by capture,
+    // recovered by a scan, or rejected as implausibly sparse (the
+    // hashed map then stays), the simulated results are identical.
+    SimScale s = tinyScale();
+    trace::WorkloadTrace unstamped = syntheticTrace(s, 16, 400, true);
+    const PageSpan span = densePageSpan(unstamped);
+    ASSERT_GT(span.pages, 0u);
+
+    trace::WorkloadTrace stamped = unstamped;
+    stamped.minPage = span.lo;
+    stamped.maxPage = span.last();
+    EXPECT_EQ(densePageSpan(stamped).lo, span.lo);
+    EXPECT_EQ(densePageSpan(stamped).pages, span.pages);
+
+    trace::WorkloadTrace sparse = unstamped;
+    sparse.minPage = PageNum(1);
+    sparse.maxPage = PageNum(std::uint64_t(1) << 40);
+    EXPECT_EQ(densePageSpan(sparse).pages, 0u);
+
+    SystemSetup setup = SystemSetup::starnuma();
+    auto placement = TraceSim(setup, s).run(stamped);
+    TimingOptions opt;
+    opt.independentPhases = true;
+    auto run = [&](const trace::WorkloadTrace &t) {
+        return metricsSnapshot(TimingSim(setup, s, opt).run(t, placement))
+            .values();
+    };
+    auto want = run(stamped);
+    EXPECT_EQ(run(unstamped), want);
+    EXPECT_EQ(run(sparse), want);
+}
+
 } // anonymous namespace
 } // namespace driver
 } // namespace starnuma

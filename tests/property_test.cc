@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <queue>
 #include <vector>
 
 #include "core/migration.hh"
@@ -31,7 +32,7 @@ namespace starnuma
 namespace
 {
 
-// --- EventQueue: random schedules execute in nondecreasing time ---
+// --- EventQueue: random schedules execute in (when, seq) order ---
 
 class EventQueueOrder : public ::testing::TestWithParam<int>
 {
@@ -40,23 +41,175 @@ class EventQueueOrder : public ::testing::TestWithParam<int>
 TEST_P(EventQueueOrder, RandomScheduleExecutesInTimeOrder)
 {
     Rng rng(GetParam());
-    EventQueue q;
+    EventQueue<int> q;
     std::vector<Cycles> seen;
-    // Seed events; some events schedule more events.
-    for (int i = 0; i < 200; ++i) {
-        Cycles when(rng.range32(10000));
-        q.schedule(when, [&q, &seen, &rng] {
-            seen.push_back(q.now());
-            if (rng.chance(0.3))
-                q.scheduleAfter(Cycles(1 + rng.range32(100)),
-                                [&q, &seen] {
-                                    seen.push_back(q.now());
-                                });
-        });
-    }
-    q.run();
+    // Seed events (id 0); some events schedule more events (id 1).
+    for (int i = 0; i < 200; ++i)
+        q.schedule(Cycles(rng.range32(10000)), 0);
+    q.run([&](int id) {
+        seen.push_back(q.now());
+        if (id == 0 && rng.chance(0.3))
+            q.scheduleAfter(Cycles(1 + rng.range32(100)), 1);
+    });
     EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
     EXPECT_GE(seen.size(), 200u);
+}
+
+/**
+ * The order the calendar queue must reproduce: a binary heap on
+ * (when, seq), as the timing simulation used before the wheel.
+ */
+class ReferenceQueue
+{
+  public:
+    Cycles now() const { return now_; }
+    bool empty() const { return heap.empty(); }
+    std::size_t pending() const { return heap.size(); }
+
+    void
+    schedule(Cycles when, int id)
+    {
+        ASSERT_GE(when, now_);
+        heap.push(Ev{when, seq++, id});
+    }
+
+    template <typename Fn>
+    bool
+    step(Fn &&fn)
+    {
+        if (heap.empty())
+            return false;
+        Ev ev = heap.top();
+        heap.pop();
+        now_ = ev.when;
+        fn(ev.id);
+        return true;
+    }
+
+    template <typename Fn>
+    std::uint64_t
+    run(Fn &&fn, Cycles limit = Cycles::max())
+    {
+        std::uint64_t n = 0;
+        while (!heap.empty() && heap.top().when <= limit) {
+            step(fn);
+            ++n;
+        }
+        if (heap.empty() && limit != Cycles::max() && now_ < limit)
+            now_ = limit;
+        return n;
+    }
+
+  private:
+    struct Ev
+    {
+        Cycles when;
+        std::uint64_t seq;
+        int id;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+    std::priority_queue<Ev, std::vector<Ev>, Later> heap;
+    Cycles now_;
+    std::uint64_t seq = 0;
+};
+
+/**
+ * Drive @p q through a seeded random schedule of step() and
+ * run(limit) calls whose handlers schedule more events. Returns a
+ * log of every executed id with its time, and of now(), pending()
+ * and the return value after every call, so two queues given the
+ * same seed log identically iff they execute identically.
+ */
+template <typename Queue>
+std::vector<std::uint64_t>
+driveRandomSchedule(Queue &q, int seed)
+{
+    const auto span =
+        static_cast<std::uint32_t>(EventQueue<int>::wheelSpan);
+    Rng rng(seed);
+    std::vector<std::uint64_t> log;
+    std::vector<Cycles> used; // earlier targets, to collide with
+    int next_id = 0;
+    auto pick = [&]() -> Cycles {
+        Cycles now = q.now();
+        switch (rng.range32(8)) {
+          case 0: // exactly now()
+            return now;
+          case 1: // same-cycle ties just ahead
+            return now + Cycles(rng.range32(4));
+          case 2: // anywhere on the wheel
+            return now + Cycles(rng.range32(span));
+          case 3: // straddling the wheel's edge
+            return now + Cycles(span - 2 + rng.range32(4));
+          case 4: // overflow heap, up to four spans out
+            return now + Cycles(span + rng.range32(4 * span));
+          case 5: { // a cycle already targeted: far events that
+                    // later share it with direct inserts
+            Cycles t = used[rng.range32(
+                static_cast<std::uint32_t>(used.size()))];
+            return t >= now ? t : now;
+          }
+          case 6: // occasionally a long idle gap
+            return now + Cycles(rng.chance(0.02)
+                                    ? span * (20 + rng.range32(80))
+                                    : 1);
+          default:
+            return now + Cycles(1 + rng.range32(64));
+        }
+    };
+    auto schedule = [&]() {
+        Cycles when = used.empty() ? q.now() : pick();
+        used.push_back(when);
+        q.schedule(when, next_id++);
+    };
+    auto handle = [&](int id) {
+        log.push_back(static_cast<std::uint64_t>(id));
+        log.push_back(q.now().value());
+        if (next_id < 20000)
+            for (std::uint32_t k = rng.range32(4); k > 0; --k)
+                schedule();
+    };
+    for (int i = 0; i < 64; ++i)
+        schedule();
+    while (!q.empty()) {
+        if (rng.chance(0.2)) {
+            Cycles limit = q.now() + Cycles(rng.range32(2 * span));
+            log.push_back(q.run(handle, limit));
+        } else {
+            log.push_back(q.step(handle) ? 1 : 0);
+        }
+        log.push_back(q.now().value());
+        log.push_back(q.pending());
+    }
+    log.push_back(q.run(handle, q.now() + Cycles(5)));
+    log.push_back(q.now().value());
+    return log;
+}
+
+TEST_P(EventQueueOrder, MatchesReferenceHeapOrder)
+{
+    EventQueue<int> q;
+    ReferenceQueue ref;
+    std::vector<std::uint64_t> got = driveRandomSchedule(q, GetParam());
+    std::vector<std::uint64_t> want =
+        driveRandomSchedule(ref, GetParam());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "first divergence at log entry "
+                                   << i;
+    // The schedule really exercised the wheel's edges: many events,
+    // time wrapped the wheel many times over.
+    EXPECT_GT(q.executed(), 10000u);
+    EXPECT_GT(q.now().value(), 50 * EventQueue<int>::wheelSpan);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOrder,

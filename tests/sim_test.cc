@@ -55,70 +55,76 @@ TEST(Types, AddressHelpers)
 
 TEST(EventQueue, RunsInTimeOrder)
 {
-    EventQueue q;
+    EventQueue<int> q;
     std::vector<int> order;
-    q.schedule(Cycles(30), [&] { order.push_back(3); });
-    q.schedule(Cycles(10), [&] { order.push_back(1); });
-    q.schedule(Cycles(20), [&] { order.push_back(2); });
-    q.run();
+    q.schedule(Cycles(30), 3);
+    q.schedule(Cycles(10), 1);
+    q.schedule(Cycles(20), 2);
+    q.run([&](int id) { order.push_back(id); });
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.executed(), 3u);
 }
 
 TEST(EventQueue, SameCycleEventsAreFifo)
 {
-    EventQueue q;
+    EventQueue<int> q;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        q.schedule(Cycles(5), [&order, i] { order.push_back(i); });
-    q.run();
+        q.schedule(Cycles(5), i);
+    q.run([&](int id) { order.push_back(id); });
+    ASSERT_EQ(order.size(), 8u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, CallbackMaySchedule)
 {
-    EventQueue q;
+    // The handler runs after its event left the queue, so it may
+    // schedule more.
+    EventQueue<int> q;
     int fired = 0;
-    q.schedule(Cycles(1), [&] {
+    q.schedule(Cycles(1), 0);
+    q.run([&](int id) {
         ++fired;
-        q.scheduleAfter(Cycles(4), [&] { ++fired; });
+        if (id == 0)
+            q.scheduleAfter(Cycles(4), 1);
     });
-    q.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.now(), Cycles(5));
 }
 
 TEST(EventQueue, RunRespectsLimit)
 {
-    EventQueue q;
+    EventQueue<int> q;
     int fired = 0;
-    q.schedule(Cycles(10), [&] { ++fired; });
-    q.schedule(Cycles(100), [&] { ++fired; });
-    EXPECT_EQ(q.run(Cycles(50)), 1u);
+    auto count = [&](int) { ++fired; };
+    q.schedule(Cycles(10), 0);
+    q.schedule(Cycles(100), 0);
+    EXPECT_EQ(q.run(count, Cycles(50)), 1u);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.pending(), 1u);
-    q.run();
+    q.run(count);
     EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, EmptyRunAdvancesToLimit)
 {
-    EventQueue q;
-    q.run(Cycles(1000));
+    EventQueue<int> q;
+    q.run([](int) {}, Cycles(1000));
     EXPECT_EQ(q.now(), Cycles(1000));
 }
 
 TEST(EventQueue, StepExecutesOne)
 {
-    EventQueue q;
+    EventQueue<int> q;
     int fired = 0;
-    q.schedule(Cycles(1), [&] { ++fired; });
-    q.schedule(Cycles(2), [&] { ++fired; });
-    EXPECT_TRUE(q.step());
+    auto count = [&](int) { ++fired; };
+    q.schedule(Cycles(1), 0);
+    q.schedule(Cycles(2), 0);
+    EXPECT_TRUE(q.step(count));
     EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.step());
-    EXPECT_FALSE(q.step());
+    EXPECT_TRUE(q.step(count));
+    EXPECT_FALSE(q.step(count));
 }
 
 TEST(Rng, Deterministic)
