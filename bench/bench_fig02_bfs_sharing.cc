@@ -13,7 +13,6 @@
 #include "bench_util.hh"
 #include "sim/table.hh"
 #include "trace/profile.hh"
-#include "workloads/workload.hh"
 
 using namespace starnuma;
 
@@ -24,8 +23,8 @@ const trace::SharingProfile &
 profile()
 {
     static SimScale scale = benchutil::benchScale();
-    static trace::WorkloadTrace trace =
-        workloads::captureWorkload("bfs", scale);
+    static const trace::WorkloadTrace &trace =
+        driver::workloadTrace("bfs", scale);
     static trace::SharingProfile p(trace, scale.coresPerSocket,
                                    scale.sockets);
     return p;

@@ -16,7 +16,6 @@
 #include "bench_util.hh"
 #include "sim/table.hh"
 #include "trace/profile.hh"
-#include "workloads/workload.hh"
 
 using namespace starnuma;
 
@@ -30,7 +29,8 @@ profileOf(const std::string &workload)
     static std::map<std::string, trace::SharingProfile> memo;
     auto it = memo.find(workload);
     if (it == memo.end()) {
-        auto trace = workloads::captureWorkload(workload, scale);
+        const trace::WorkloadTrace &trace =
+            driver::workloadTrace(workload, scale);
         it = memo.emplace(workload,
                           trace::SharingProfile(
                               trace, scale.coresPerSocket,

@@ -4,9 +4,9 @@
  * bench binary registers one google-benchmark entry per evaluated
  * configuration (Iterations(1) — the simulations are deterministic)
  * and prints a paper-style table after the benchmark report.
- * Experiment results are memoized per process; workload traces are
- * additionally cached on disk (STARNUMA_TRACE_DIR, default
- * .trace_cache) so the bench suite captures each workload once.
+ * Experiment results and workload traces (driver::workloadTrace)
+ * are memoized per process; set STARNUMA_CACHE_DIR to also reuse
+ * them across bench binaries through the artifact store.
  */
 
 #ifndef STARNUMA_BENCH_BENCH_UTIL_HH

@@ -144,10 +144,8 @@ print("check-hotpath-syms: %d hot symbols audited across %d "
 # Demangled-name regexes of artifact serializer entry points. Every
 # entry must match at least one defined symbol.
 ARTIFACT_MANIFEST = [
-    r"starnuma::driver::TraceSimResult::save\(",
-    r"starnuma::trace::WorkloadTrace::save\(",
+    r"starnuma::driver::TraceSimResult::serialize\(",
     r"starnuma::trace::encodeColumnar\(",
-    r"starnuma::trace::saveColumnar\(",
 ]
 
 # Base call-target names (before '(' or '@') that make an artifact

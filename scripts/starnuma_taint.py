@@ -15,8 +15,8 @@ D12 Nondeterminism taint. Values originating at a taint source must
     ``src/sim/rng.*``, and iteration over a non-Flat unordered
     container not annotated ``// lint: order-independent``. Sinks:
     the checkpoint/trace serializers (``putVarint``/``putDouble``/
-    ``encodeColumnar``/``saveColumnar``), ``obs::Registry``/
-    ``TimeSeries``/``AuditLog`` emission and the ``StatsSink``/
+    ``encodeColumnar``), ``obs::Registry``/``TimeSeries``/
+    ``AuditLog`` emission and the ``StatsSink``/
     ``TimeSeriesSink``/``AuditSink``/``Snapshot`` aggregation
     methods, bench-JSON ``recordResult``, and member stores into the
     artifact structs (``TraceSimResult``/``Checkpoint``/
@@ -150,7 +150,6 @@ METHOD_SINKS = {
 # Free/utility functions that serialize artifact bytes directly.
 BARE_SINKS = frozenset((
     "recordResult", "putVarint", "putDouble", "encodeColumnar",
-    "saveColumnar",
 ))
 # Member stores into these structs become artifact bytes.
 SINK_STORE_CLASSES = ("TraceSimResult", "Checkpoint",

@@ -25,9 +25,8 @@ ArtifactCache::store()
     MutexLock lock(mu);
     if (!initialized) {
         initialized = true;
-        // Same gate idiom as the step-A trace cache
-        // (STARNUMA_TRACE_DIR), but default *off*: persisting every
-        // sweep artifact is an opt-in. The code-epoch stub value
+        // Default *off*: persisting every sweep artifact (step-A
+        // traces included) is an opt-in. The code-epoch stub value
         // "unknown" (no Python at configure time) also keeps the
         // cache off — without a real file-closure hash, stale
         // objects could outlive the code that wrote them.

@@ -2,9 +2,10 @@
  * @file
  * Process-wide handle on the persistent artifact store plus the
  * cache-tier counters of the incremental sweep engine (DESIGN.md
- * §16). Off by default; enabled by STARNUMA_CACHE_DIR (read once,
- * ""/"0"/"off" keep it disabled, mirroring STARNUMA_TRACE_DIR's
- * gate) or explicitly via enable() from benches and tests.
+ * §16). The store is the simulator's only on-disk persistence (step-A
+ * traces included). Off by default; enabled by STARNUMA_CACHE_DIR
+ * (read once; ""/"0"/"off" keep it disabled) or explicitly via
+ * enable() from benches and tests.
  *
  * Thread safety: the store pointer is published under a Mutex and
  * held by shared_ptr so concurrent sweep entries can keep using a

@@ -186,8 +186,8 @@ scheduleFingerprint(const SystemSetup &setup, int before_phase)
 /**
  * Declared environment gates (the manifest's declared_env list).
  * Both are byte-invariant by the determinism contract — the worker
- * pool size and the step-A disk cache location cannot change any
- * artifact byte — so they key as the literal "invariant" and warm
+ * pool size and the artifact store's own location cannot change
+ * any artifact byte — so they key as the literal "invariant" and warm
  * hits survive pool-size changes (Golden.WarmEqualsCold sweeps
  * STARNUMA_THREADS over {1,4,8} against one store).
  */
@@ -196,7 +196,6 @@ envFields(std::string &out)
 {
     field(out, "env.STARNUMA_CACHE_DIR", std::string("invariant"));
     field(out, "env.STARNUMA_THREADS", std::string("invariant"));
-    field(out, "env.STARNUMA_TRACE_DIR", std::string("invariant"));
 }
 
 } // anonymous namespace

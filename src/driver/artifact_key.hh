@@ -7,7 +7,7 @@
  * the declared workload/scale/setup inputs, the policy-schedule
  * prefix, the code-epoch hash of the generating file closure, and
  * one line per declared STARNUMA_* environment gate. Env gates that
- * are byte-invariant by contract (pool size, trace cache location)
+ * are byte-invariant by contract (pool size, artifact store location)
  * record the literal value "invariant" so warm hits work across
  * STARNUMA_THREADS settings. scripts/cas_tool.py re-parses these
  * texts and validates the field vocabulary against the manifest.

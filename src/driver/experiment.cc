@@ -120,7 +120,7 @@ traceEntryFor(const std::string &name, const SimScale &scale)
         obs::TraceSpan span(
             "capture " + name, "capture",
             obs::TraceArgs().add("workload", name).str());
-        entry->trace = workloads::captureWorkload(name, scale);
+        entry->trace = workloads::makeWorkload(name)->capture(scale);
         traceCaptures.fetch_add(1, std::memory_order_relaxed);
         if (store) {
             std::vector<std::uint8_t> payload =
@@ -425,7 +425,7 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
 // Deliberately uncached beyond the shared step-A trace tier: the
 // single-socket normalization run has no setup axis to sweep (one
 // cell per workload), so a result bundle would only duplicate the
-// trace cache's savings for extra key-schema surface.
+// trace tier's savings for extra key-schema surface.
 RunMetrics
 runSingleSocket(const std::string &workload, const SimScale &scale)
 {

@@ -3,13 +3,14 @@
  * Top-level experiment API: runs the full three-step pipeline
  * (capture -> trace simulation -> timing simulation) for one
  * (workload, system) pair and returns the aggregated metrics.
- * Traces are memoized per process (and optionally on disk via
- * STARNUMA_TRACE_DIR), so sweeping system configurations over the
- * same workload only captures once — mirroring how the paper reuses
- * step-A traces across all evaluated systems. The memo is thread
- * safe: concurrent requests for the same (workload, scale) run
- * exactly one capture and share the resulting trace, so sweep
- * entries can fan out across the worker pool (driver/sweep.hh).
+ * Traces are memoized per process (and on disk only through the
+ * artifact store, STARNUMA_CACHE_DIR), so sweeping system
+ * configurations over the same workload only captures once —
+ * mirroring how the paper reuses step-A traces across all evaluated
+ * systems. The memo is thread safe: concurrent requests for the same
+ * (workload, scale) run exactly one capture and share the resulting
+ * trace, so sweep entries can fan out across the worker pool
+ * (driver/sweep.hh).
  *
  * Step C runs the paper's literal "N parallel timing simulations"
  * (§IV-A3): each phase simulates on its own machine state,

@@ -4,7 +4,7 @@
  * pipelines out across sim/parallel.hh's worker pool, the way the
  * paper's evaluation runs its dozens of independent configuration
  * pipelines (§IV, §V). Each entry is an independent runExperiment
- * call; the memoized trace cache guarantees one capture per
+ * call; the process-wide trace memo guarantees one capture per
  * (workload, scale) no matter how many entries share it, and
  * results return in the caller's entry order — so a sweep's output
  * is bitwise-identical to running the same entries serially.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "core/oracle.hh"
 #include "core/region_tracker.hh"
@@ -202,8 +201,8 @@ sampleReplayPhase(ReplayTelemetry &t, obs::TimeSeries &series,
 // Checkpoint artifact format v2 ("STARCKP2"): varint/delta coded
 // with the sim/bytes.hh primitives. Collections are written in
 // sorted page order so artifacts stay byte-identical across runs.
-// The same encoders serve TraceSimResult::save()/load() and the
-// incremental sweep engine's per-phase resume snapshots
+// The same encoders serve TraceSimResult::serialize()/deserialize()
+// and the incremental sweep engine's per-phase resume snapshots
 // (DESIGN.md §16).
 constexpr std::uint64_t checkpointMagic = 0x53544152434b5032ULL;
 
@@ -798,21 +797,6 @@ TraceSim::runStaticOracle(const trace::WorkloadTrace &trace)
 }
 
 // lint: artifact-root step_b_checkpoint
-bool
-TraceSimResult::save(const std::string &path) const
-{
-    std::vector<std::uint8_t> buf = serialize();
-
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    std::fclose(f);
-    return ok;
-}
-
-// lint: artifact-root step_b_checkpoint
 std::vector<std::uint8_t>
 TraceSimResult::serialize() const
 {
@@ -839,16 +823,6 @@ TraceSimResult::serialize() const
     }
     putDouble(buf, replication.capacityOverhead);
     return buf;
-}
-
-bool
-TraceSimResult::load(const std::string &path)
-{
-    std::vector<std::uint8_t> buf;
-    if (!trace::readFileBytes(path, buf))
-        return false;
-    ByteReader r(buf.data(), buf.size());
-    return deserialize(r) && r.remaining() == 0;
 }
 
 // lint: cold-path artifact decode, once per load

@@ -101,14 +101,14 @@ struct TraceSimResult
      * Migration phase this run actually resumed from via
      * PhaseStateHooks (0 = ran cold, including after a failed
      * restore). Runtime diagnostic for the cache's partial-hit
-     * accounting; not serialized by save()/load().
+     * accounting; not part of the serialize() image.
      */
     int resumedFromPhase = 0;
 
     /**
      * Migration-engine / TLB-directory registry snapshot, taken at
      * the end of the run while the obs::StatsSink is enabled; empty
-     * otherwise. Not serialized by save()/load().
+     * otherwise. Not part of the serialize() image.
      */
     obs::Snapshot stats;
 
@@ -118,32 +118,24 @@ struct TraceSimResult
      * occupancy, TLB miss count and rate, pages migrated, targeted
      * shootdown messages. Populated only while the
      * obs::TimeSeriesSink is enabled; empty otherwise. Not
-     * serialized by save()/load().
+     * part of the serialize() image.
      */
     obs::TimeSeries timeseries;
 
     /**
      * The migration engine's structured Algorithm-1 decision log
      * (DESIGN.md §14). Populated only while the obs::AuditSink is
-     * enabled; empty otherwise. Not serialized by save()/load().
+     * enabled; empty otherwise. Not part of the serialize() image.
      */
     obs::AuditLog audit;
 
     /**
      * Serialize the checkpoints (step B's output artifact, §IV-A2)
-     * so timing simulations can run later or elsewhere. Format v2:
-     * varint/delta coded (trace/columnar.hh primitives), written in
-     * sorted page order so artifacts are byte-identical across
-     * runs. @return false on IO error.
+     * so timing simulations can run later or elsewhere; the
+     * artifact store (DESIGN.md §16) persists these bytes. Format
+     * v2: varint/delta coded (sim/bytes.hh primitives), written in
+     * sorted page order so artifacts are byte-identical across runs.
      */
-    bool save(const std::string &path) const;
-
-    /** Load checkpoints previously written by save(). */
-    bool load(const std::string &path);
-
-    /** The exact byte image save() writes (format v2), for callers
-     *  that store the artifact elsewhere (the content-addressed
-     *  artifact store, DESIGN.md §16). */
     std::vector<std::uint8_t> serialize() const;
 
     /**

@@ -1,7 +1,6 @@
 #include "trace/columnar.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace starnuma
 {
@@ -216,53 +215,6 @@ decodeColumnar(const std::uint8_t *data, std::size_t size,
         out.maxPage = PageNum(0);
     }
     return true;
-}
-
-// lint: artifact-root step_a_trace
-bool
-saveColumnar(const WorkloadTrace &t, const std::string &path)
-{
-    std::vector<std::uint8_t> bytes = encodeColumnar(t);
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok = bytes.empty() ||
-              std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                  bytes.size();
-    std::fclose(f);
-    return ok;
-}
-
-bool
-readFileBytes(const std::string &path,
-              std::vector<std::uint8_t> &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    std::fseek(f, 0, SEEK_END);
-    long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (len < 0) {
-        std::fclose(f);
-        return false;
-    }
-    out.assign(static_cast<std::size_t>(len), 0);
-    bool ok =
-        out.empty() ||
-        // lint: raw-read the one bulk transfer into the owned
-        // buffer; every byte is then parsed through ByteReader.
-        std::fread(out.data(), 1, out.size(), f) == out.size();
-    std::fclose(f);
-    return ok;
-}
-
-bool
-loadColumnar(WorkloadTrace &t, const std::string &path)
-{
-    std::vector<std::uint8_t> bytes;
-    return readFileBytes(path, bytes) &&
-           decodeColumnar(bytes.data(), bytes.size(), t);
 }
 
 } // namespace trace

@@ -1,15 +1,16 @@
 /**
  * @file
- * Columnar binary trace format v2 (DESIGN.md §12). Step-A captures
- * are stored SoA: per thread, three parallel columns — delta-
- * encoded varint instruction counts, zigzag-delta varint addresses,
- * and a packed write-flag bitmap — instead of v1's array of 16-byte
- * records. Deltas between consecutive accesses of one thread are
- * small (instruction counts are nondecreasing, addresses exhibit
- * spatial locality), so the varints land in one or two bytes and
- * the cache files shrink several-fold.
+ * Columnar binary trace format v2 (DESIGN.md §12), the one step-A
+ * trace format. Captures are stored SoA: per thread, three parallel
+ * columns — delta-encoded varint instruction counts, zigzag-delta
+ * varint addresses, and a packed write-flag bitmap — rather than an
+ * array of 16-byte MemRecords. Deltas between consecutive accesses
+ * of one thread are small (instruction counts are nondecreasing,
+ * addresses exhibit spatial locality), so the varints land in one
+ * or two bytes and a trace encodes several-fold smaller than its
+ * in-memory records.
  *
- * The decoder is fully bounds-checked: truncated files, corrupt
+ * The decoder is fully bounds-checked: truncated buffers, corrupt
  * varints, impossible counts, and unknown versions all return
  * failure — never undefined behaviour (fuzzed in
  * tests/columnar_trace_test.cc under ASan).
@@ -24,7 +25,6 @@
 #define STARNUMA_TRACE_COLUMNAR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/bytes.hh"
@@ -49,21 +49,6 @@ std::vector<std::uint8_t> encodeColumnar(const WorkloadTrace &t);
  */
 bool decodeColumnar(const std::uint8_t *data, std::size_t size,
                     WorkloadTrace &out);
-
-/** encodeColumnar to a file. @return false on IO error. */
-bool saveColumnar(const WorkloadTrace &t, const std::string &path);
-
-/**
- * Slurp a whole file into @p out. The single raw-read site shared
- * by every decode path: one bulk transfer into an owned buffer,
- * after which all parsing goes through the ByteReader cursor.
- * @return false on IO error (and @p out is unspecified).
- */
-bool readFileBytes(const std::string &path,
-                   std::vector<std::uint8_t> &out);
-
-/** Read + decodeColumnar a file. @return false on error. */
-bool loadColumnar(WorkloadTrace &t, const std::string &path);
 
 } // namespace trace
 } // namespace starnuma

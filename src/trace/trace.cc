@@ -1,30 +1,9 @@
 #include "trace/trace.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <sys/stat.h>
-
-#include "trace/columnar.hh"
-
 namespace starnuma
 {
 namespace trace
 {
-
-namespace
-{
-
-constexpr std::uint64_t magic = 0x5354415254524332ULL; // "STARTRC2"
-
-bool
-writeBytes(std::FILE *f, const void *p, std::size_t n)
-{
-    if (n == 0)
-        return true; // empty vectors have a null data()
-    return std::fwrite(p, 1, n, f) == n;
-}
-
-} // anonymous namespace
 
 std::uint64_t
 WorkloadTrace::totalRecords() const
@@ -43,106 +22,6 @@ WorkloadTrace::recordsPerKiloInstruction() const
     return instr ? 1000.0 * static_cast<double>(totalRecords()) /
                        static_cast<double>(instr)
                  : 0.0;
-}
-
-// lint: artifact-root step_a_trace
-bool
-WorkloadTrace::save(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok = true;
-    std::uint64_t name_len = workload.size();
-    std::uint64_t nthreads = threads;
-    std::uint64_t nft = firstTouches.size();
-    ok = ok && writeBytes(f, &magic, 8);
-    ok = ok && writeBytes(f, &name_len, 8);
-    ok = ok && writeBytes(f, workload.data(), name_len);
-    ok = ok && writeBytes(f, &nthreads, 8);
-    ok = ok && writeBytes(f, &instructionsPerThread, 8);
-    ok = ok && writeBytes(f, &footprintBytes, 8);
-    ok = ok && writeBytes(f, &nft, 8);
-    ok = ok && writeBytes(f, firstTouches.data(),
-                          nft * sizeof(FirstTouch));
-    std::uint64_t nwp = writtenPages.size();
-    ok = ok && writeBytes(f, &nwp, 8);
-    ok = ok && writeBytes(f, writtenPages.data(),
-                          nwp * sizeof(PageNum));
-    for (const auto &t : perThread) {
-        std::uint64_t n = t.size();
-        ok = ok && writeBytes(f, &n, 8);
-        ok = ok && writeBytes(f, t.data(), n * sizeof(MemRecord));
-    }
-    std::fclose(f);
-    return ok;
-}
-
-bool
-WorkloadTrace::load(const std::string &path)
-{
-    // Whole-file slurp through the shared checked helper, then
-    // parse with the ByteReader cursor (like decodeColumnar): every
-    // count is bounded by the bytes actually present, so a corrupt
-    // or truncated file can never drive an allocation past the
-    // file size.
-    std::vector<std::uint8_t> bytes;
-    if (!readFileBytes(path, bytes))
-        return false;
-
-    ByteReader r(bytes.data(), bytes.size());
-    std::uint64_t m = 0, name_len = 0, nthreads = 0;
-    if (!r.getU64(m) || m != magic)
-        return false;
-    if (!r.getU64(name_len) || name_len > r.remaining())
-        return false;
-    workload.resize(static_cast<std::size_t>(name_len));
-    if (!r.getBytes(workload.data(), workload.size()))
-        return false;
-    if (!r.getU64(nthreads) || nthreads > 1024)
-        return false;
-    if (!r.getU64(instructionsPerThread) ||
-        !r.getU64(footprintBytes))
-        return false;
-    threads = static_cast<int>(nthreads);
-
-    std::uint64_t nft = 0;
-    if (!r.getU64(nft) || nft > r.remaining() / sizeof(FirstTouch))
-        return false;
-    firstTouches.resize(static_cast<std::size_t>(nft));
-    if (!r.getBytes(firstTouches.data(),
-                    firstTouches.size() * sizeof(FirstTouch)))
-        return false;
-
-    std::uint64_t nwp = 0;
-    if (!r.getU64(nwp) || nwp > r.remaining() / sizeof(PageNum))
-        return false;
-    writtenPages.resize(static_cast<std::size_t>(nwp));
-    if (!r.getBytes(writtenPages.data(),
-                    writtenPages.size() * sizeof(PageNum)))
-        return false;
-
-    perThread.assign(static_cast<std::size_t>(nthreads), {});
-    for (auto &t : perThread) {
-        std::uint64_t n = 0;
-        if (!r.getU64(n) || n > r.remaining() / sizeof(MemRecord))
-            return false;
-        t.resize(static_cast<std::size_t>(n));
-        if (!r.getBytes(t.data(), t.size() * sizeof(MemRecord)))
-            return false;
-    }
-    return true;
-}
-
-std::string
-traceCacheDir()
-{
-    const char *env = std::getenv("STARNUMA_TRACE_DIR");
-    std::string dir = env ? env : ".trace_cache";
-    if (dir.empty() || dir == "0" || dir == "off")
-        return "";
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
 }
 
 } // namespace trace

@@ -1,13 +1,14 @@
 /**
  * @file
- * Trace formats for step A of the methodology (§IV-A1). A workload
- * run produces one memory trace per logical thread; each record is
- * an access that missed the capture-time private-cache filter,
- * tagged with the thread's dynamic instruction count — exactly the
- * information the paper's Pin-based tracer records. Traces carry a
- * first-touch list from the workload's (untimed) setup, which seeds
- * the page map the way parallel initialization seeds first-touch
- * placement on a real machine.
+ * In-memory trace records for step A of the methodology (§IV-A1);
+ * the stored encoding is trace/columnar.hh. A workload run produces
+ * one memory trace per logical thread; each record is an access that
+ * missed the capture-time private-cache filter, tagged with the
+ * thread's dynamic instruction count — exactly the information the
+ * paper's Pin-based tracer records. Traces carry a first-touch list
+ * from the workload's (untimed) setup, which seeds the page map the
+ * way parallel initialization seeds first-touch placement on a real
+ * machine.
  */
 
 #ifndef STARNUMA_TRACE_TRACE_HH
@@ -85,44 +86,7 @@ struct WorkloadTrace
 
     /** Records per kilo-instruction (the filter's output rate). */
     double recordsPerKiloInstruction() const;
-
-    /** Serialize to @p path (binary). @return false on IO error. */
-    bool save(const std::string &path) const;
-
-    /** Deserialize from @p path. @return false on error/mismatch. */
-    bool load(const std::string &path);
 };
-
-/** Resolve the trace cache directory (created on demand). */
-std::string traceCacheDir();
-
-// Columnar v2 cache files (trace/columnar.hh; declared here so the
-// cached() template below needs no extra include).
-bool saveColumnar(const WorkloadTrace &t, const std::string &path);
-bool loadColumnar(WorkloadTrace &t, const std::string &path);
-
-/**
- * Load @p trace from the cache directory if a file for @p key
- * exists, else invoke @p generate and save the result. The cache
- * directory comes from STARNUMA_TRACE_DIR (empty disables caching).
- * Cache files use the columnar v2 format (".ctrace"); stale v1
- * ".trace" files are simply never read again.
- */
-template <typename Fn>
-WorkloadTrace
-cached(const std::string &key, Fn &&generate)
-{
-    std::string dir = traceCacheDir();
-    if (dir.empty())
-        return generate();
-    std::string path = dir + "/" + key + ".ctrace";
-    WorkloadTrace t;
-    if (loadColumnar(t, path))
-        return t;
-    t = generate();
-    saveColumnar(t, path);
-    return t;
-}
 
 } // namespace trace
 } // namespace starnuma

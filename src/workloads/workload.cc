@@ -74,19 +74,5 @@ makeWorkload(const std::string &name, std::uint64_t seed)
     fatal("unknown workload '%s'", name.c_str());
 }
 
-trace::WorkloadTrace
-captureWorkload(const std::string &name, const SimScale &scale,
-                std::uint64_t seed)
-{
-    std::string key =
-        name + "-t" + std::to_string(scale.threads()) + "-p" +
-        std::to_string(scale.phases) + "-i" +
-        std::to_string(scale.phaseInstructions) + "-s" +
-        std::to_string(seed);
-    return trace::cached(key, [&] {
-        return makeWorkload(name, seed)->capture(scale);
-    });
-}
-
 } // namespace workloads
 } // namespace starnuma

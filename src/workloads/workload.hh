@@ -58,14 +58,6 @@ std::vector<std::string> workloadNames();
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        std::uint64_t seed = 1);
 
-/**
- * Capture a workload's trace, via the on-disk trace cache when
- * enabled (key includes the scale so SC3 gets its own traces).
- */
-trace::WorkloadTrace captureWorkload(const std::string &name,
-                                     const SimScale &scale,
-                                     std::uint64_t seed = 1);
-
 } // namespace workloads
 } // namespace starnuma
 

@@ -2,7 +2,7 @@
  * @file
  * Columnar trace format v2 tests: encode→decode round-trip
  * equality on captures of all eight workloads plus hand-built edge
- * traces, file save/load, and a byte-fuzz robustness suite — every
+ * traces, and a byte-fuzz robustness suite — every
  * truncation prefix, random corruption, over-long varints, bad
  * magic/version, and implausible counts must all make the decoder
  * return false (or decode to *something*) without ever invoking
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,18 +174,6 @@ TEST(ColumnarTrace, EmptyTraceRoundTrip)
     // No content pages → span stays at the "unknown" sentinel.
     EXPECT_EQ(back.minPage, PageNum(0));
     EXPECT_EQ(back.maxPage, PageNum(0));
-}
-
-TEST(ColumnarTrace, FileSaveLoadRoundTrip)
-{
-    WorkloadTrace t =
-        makeSmall("bfs")->capture(captureScale());
-    std::string path = ::testing::TempDir() + "columnar_rt.bin";
-    ASSERT_TRUE(saveColumnar(t, path));
-    WorkloadTrace back;
-    ASSERT_TRUE(loadColumnar(back, path));
-    expectTracesEqual(t, back);
-    std::remove(path.c_str());
 }
 
 // --- Decoder robustness (the fuzz half of the tentpole) ---

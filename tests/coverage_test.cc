@@ -1,14 +1,11 @@
 /**
  * @file
  * Coverage for the long-tail APIs: link statistics, event-queue
- * accessors, trace caching, traced-array plumbing, and the
- * panic-on-misuse paths (death tests).
+ * accessors, traced-array plumbing, and the panic-on-misuse paths
+ * (death tests).
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <cstdlib>
 
 #include "mem/cache.hh"
 #include "sim/event_queue.hh"
@@ -74,35 +71,6 @@ TEST(EventQueueAccessors, PendingAndEmpty)
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.executed(), 3u);
     EXPECT_EQ(q.now(), Cycles(9 + EventQueue<int>::wheelSpan));
-}
-
-TEST(TraceCache, CachedGeneratesOnceThenLoads)
-{
-    std::string dir = ::testing::TempDir() + "trace_cache_test";
-    setenv("STARNUMA_TRACE_DIR", dir.c_str(), 1);
-    // TempDir persists across test runs: start from a clean slate.
-    std::remove((dir + "/coverage-key.ctrace").c_str());
-    int generated = 0;
-    auto gen = [&] {
-        ++generated;
-        trace::WorkloadTrace t;
-        t.workload = "gen";
-        t.threads = 1;
-        t.instructionsPerThread = 10;
-        t.perThread.resize(1);
-        t.perThread[0].emplace_back(1, 0x1000, false);
-        return t;
-    };
-    auto a = trace::cached("coverage-key", gen);
-    auto b = trace::cached("coverage-key", gen);
-    EXPECT_EQ(generated, 1);
-    EXPECT_EQ(a.totalRecords(), b.totalRecords());
-    EXPECT_EQ(b.workload, "gen");
-    setenv("STARNUMA_TRACE_DIR", "off", 1);
-    auto c = trace::cached("coverage-key", gen);
-    EXPECT_EQ(generated, 2); // caching disabled
-    (void)c;
-    unsetenv("STARNUMA_TRACE_DIR");
 }
 
 TEST(TracedArrayApi, ReadWriteAndAddressing)

@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "driver/experiment.hh"
 #include "driver/system_setup.hh"
@@ -337,11 +338,12 @@ TEST(Checkpoints, SaveLoadRoundTrip)
     TraceSim sim(setup, s);
     auto result = sim.run(trace);
 
-    std::string path = ::testing::TempDir() + "checkpoints.bin";
-    ASSERT_TRUE(result.save(path));
-
+    std::vector<std::uint8_t> bytes = result.serialize();
+    ByteReader r(bytes.data(), bytes.size());
     TraceSimResult loaded;
-    ASSERT_TRUE(loaded.load(path));
+    ASSERT_TRUE(loaded.deserialize(r));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(loaded.serialize(), bytes);
     ASSERT_EQ(loaded.checkpoints.size(),
               result.checkpoints.size());
     EXPECT_EQ(loaded.footprintPages, result.footprintPages);
@@ -355,24 +357,43 @@ TEST(Checkpoints, SaveLoadRoundTrip)
                   result.checkpoints[p].regionMigrations.size());
     }
 
-    // The loaded checkpoints drive an identical timing simulation.
+    // The decoded checkpoints drive an identical timing simulation.
     TimingSim a(setup, s), b(setup, s);
     auto ma = a.run(trace, result);
     auto mb = b.run(trace, loaded);
     EXPECT_DOUBLE_EQ(ma.ipc, mb.ipc);
     EXPECT_DOUBLE_EQ(ma.amatCycles, mb.amatCycles);
-    std::remove(path.c_str());
 }
 
+/**
+ * Garbage and every strict prefix of a valid image must fail to
+ * decode cleanly — never read past the buffer (ASan-checked), the
+ * same contract ColumnarFuzz holds the trace decoder to.
+ */
 TEST(Checkpoints, LoadRejectsGarbage)
 {
-    std::string path = ::testing::TempDir() + "bad_checkpoints.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("nonsense", f);
-    std::fclose(f);
+    const std::string garbage = "nonsense";
+    ByteReader g(reinterpret_cast<const std::uint8_t *>(garbage.data()),
+                 garbage.size());
     TraceSimResult r;
-    EXPECT_FALSE(r.load(path));
-    std::remove(path.c_str());
+    EXPECT_FALSE(r.deserialize(g));
+
+    SimScale s = tinyScale();
+    auto trace = syntheticTrace(s, 8, 300, true);
+    SystemSetup setup = SystemSetup::starnuma();
+    TraceSim sim(setup, s);
+    std::vector<std::uint8_t> bytes = sim.run(trace).serialize();
+    ASSERT_GT(bytes.size(), 100u);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        ByteReader prefix(bytes.data(), len);
+        TraceSimResult out;
+        EXPECT_FALSE(out.deserialize(prefix))
+            << "prefix of length " << len
+            << " decoded successfully";
+    }
+    ByteReader whole(bytes.data(), bytes.size());
+    TraceSimResult out;
+    EXPECT_TRUE(out.deserialize(whole));
 }
 
 TEST(TimingSim, IndependentPhasesAgreeQualitatively)

@@ -15,9 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -129,17 +126,8 @@ TEST(Golden, Fig8SpeedupOrderingPinned)
 
 // --- Byte-stability of every exported artifact across pool sizes ---
 
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
 /**
- * The step-B checkpoint file and the stats JSON/CSV exports must be
+ * The step-B checkpoint image and the stats JSON/CSV exports must be
  * byte-identical whether the pool runs 1, 4, or 8 worker threads —
  * the determinism contract the flat-table replay path (DESIGN.md
  * §12) and the canonical merge order both feed. A single changed
@@ -153,12 +141,10 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
     // dense flat-table path that production runs use.
     auto trace = workloads::makeWorkload("tc")->capture(s);
     obs::StatsSink &sink = obs::StatsSink::global();
-    std::string ckpt_path =
-        testing::TempDir() + "golden_ckpt.bin";
 
     struct Artifacts
     {
-        std::string checkpoints;
+        std::vector<std::uint8_t> checkpoints;
         std::string json;
         std::string csv;
     };
@@ -173,8 +159,7 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
         a.json = sink.collectJson();
         a.csv = sink.collect().csv();
         sink.stop();
-        EXPECT_TRUE(result.save(ckpt_path));
-        a.checkpoints = fileBytes(ckpt_path);
+        a.checkpoints = result.serialize();
         return a;
     };
 
@@ -190,7 +175,6 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
         EXPECT_EQ(a.csv, serial.csv);
     }
     ThreadPool::setGlobalThreads(0);
-    std::remove(ckpt_path.c_str());
 }
 
 } // anonymous namespace

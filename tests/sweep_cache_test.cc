@@ -3,14 +3,17 @@
  * Incremental sweep engine (DESIGN.md §16): cache-key stability
  * goldens (each declared input perturbs the key; nothing else
  * does), warm-equals-cold byte identity across worker-pool sizes,
- * differential re-simulation from the first divergent phase, and
- * the corruption contract at the experiment tier (a damaged stored
- * bundle demotes to recomputation with identical artifacts).
+ * differential re-simulation from the first divergent phase, the
+ * corruption contract at the experiment tier (a damaged stored
+ * bundle demotes to recomputation with identical artifacts), and
+ * that with the store disabled nothing reaches the disk.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -76,6 +79,20 @@ TEST(CacheKey, TraceKeyPerturbation)
     EXPECT_NE(base.find("code.epoch="), std::string::npos);
     EXPECT_NE(base.find("env.STARNUMA_THREADS=invariant\n"),
               std::string::npos);
+
+    // The declared environment is exactly the store location and the
+    // pool size; no other variable can shape a cached artifact.
+    std::vector<std::string> env_fields;
+    std::istringstream lines(base);
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind("env.", 0) == 0)
+            env_fields.push_back(line.substr(0, line.find('=')));
+    EXPECT_EQ(env_fields,
+              (std::vector<std::string>{"env.STARNUMA_CACHE_DIR",
+                                        "env.STARNUMA_THREADS"}));
+    // No field names a trace directory: the store is the only disk
+    // cache.
+    EXPECT_EQ(base.find("TRACE_DIR"), std::string::npos);
 }
 
 TEST(CacheKey, ResultKeyPerturbation)
@@ -287,6 +304,29 @@ TEST(SweepCache, TraceTierCountsCaptures)
     EXPECT_GE(after, before);
     driver::workloadTrace("tc", s);
     EXPECT_EQ(driver::workloadTraceCaptures(), after);
+}
+
+/**
+ * With the artifact store disabled nothing persists: a step-A
+ * capture leaves the working directory untouched (the store is the
+ * simulator's only on-disk cache).
+ */
+TEST(SweepCache, CaptureWithoutStoreWritesNothing)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::path(testing::TempDir()) / "no_disk_capture";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+
+    driver::ArtifactCache::global().disable();
+    driver::workloadTrace("poa", SimScale::tiny());
+    bool untouched = fs::is_empty(dir);
+
+    fs::current_path(cwd);
+    EXPECT_TRUE(untouched);
+    fs::remove_all(dir);
 }
 
 } // anonymous namespace

@@ -1,13 +1,12 @@
 /**
  * @file
  * Tests for the trace substrate: record packing, capture filtering,
- * setup-mode first touch, binary save/load round trips, and the
- * sharing-profile analysis behind Figs 2 and 13.
+ * setup-mode first touch, and the sharing-profile analysis behind
+ * Figs 2 and 13. The trace format's round trips and decoder fuzzing
+ * live in columnar_trace_test.cc.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "trace/capture.hh"
 #include "trace/profile.hh"
@@ -94,54 +93,6 @@ TEST(Capture, PerThreadStreamsIndependent)
     auto t = ctx.take("x", 1);
     EXPECT_EQ(t.perThread[0].size(), 1u);
     EXPECT_EQ(t.perThread[1].size(), 1u);
-}
-
-TEST(Trace, SaveLoadRoundTrip)
-{
-    WorkloadTrace t;
-    t.workload = "demo";
-    t.threads = 2;
-    t.instructionsPerThread = 1000;
-    t.footprintBytes = 8192;
-    t.perThread.resize(2);
-    t.perThread[0].emplace_back(10, 0x1000, false);
-    t.perThread[0].emplace_back(20, 0x2040, true);
-    t.perThread[1].emplace_back(5, 0x3000, false);
-    t.firstTouches.push_back({PageNum(1), 0});
-    t.firstTouches.push_back({PageNum(2), 1});
-
-    std::string path = ::testing::TempDir() + "roundtrip.trace";
-    ASSERT_TRUE(t.save(path));
-
-    WorkloadTrace u;
-    ASSERT_TRUE(u.load(path));
-    EXPECT_EQ(u.workload, "demo");
-    EXPECT_EQ(u.threads, 2);
-    EXPECT_EQ(u.instructionsPerThread, 1000u);
-    EXPECT_EQ(u.footprintBytes, 8192u);
-    ASSERT_EQ(u.perThread[0].size(), 2u);
-    EXPECT_EQ(u.perThread[0][1].vaddr(), 0x2040u);
-    EXPECT_TRUE(u.perThread[0][1].isWrite());
-    ASSERT_EQ(u.firstTouches.size(), 2u);
-    EXPECT_EQ(u.firstTouches[1].thread, 1);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbage)
-{
-    std::string path = ::testing::TempDir() + "garbage.trace";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a trace", f);
-    std::fclose(f);
-    WorkloadTrace t;
-    EXPECT_FALSE(t.load(path));
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadMissingFileFails)
-{
-    WorkloadTrace t;
-    EXPECT_FALSE(t.load("/nonexistent/path.trace"));
 }
 
 TEST(Trace, RecordsPerKiloInstruction)
