@@ -1,9 +1,10 @@
 /**
  * @file
  * Microbenchmarks of the simulator's building blocks (classic
- * google-benchmark style): event queue throughput, cache and TLB
- * lookup rates, tracker updates, directory transactions, link and
- * DRAM fluid-queue operations, and Kronecker graph generation.
+ * google-benchmark style): event queue throughput, cache, capture
+ * filter and TLB lookup rates, tracker updates, directory
+ * transactions, link and DRAM fluid-queue operations, and Kronecker
+ * graph generation.
  * Also prints the Table I/II system-parameter summary.
  */
 
@@ -19,6 +20,7 @@
 #include "sim/rng.hh"
 #include "sim/table.hh"
 #include "topology/topology.hh"
+#include "trace/capture.hh"
 #include "workloads/graph.hh"
 
 using namespace starnuma;
@@ -61,6 +63,20 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+void
+BM_CaptureFilterAccess(benchmark::State &state)
+{
+    // Step A's per-thread filter at its default geometry, on a
+    // 16 MB random stream (mostly misses, like a graph kernel's).
+    trace::CaptureFilter filter({256 * 1024, 8});
+    Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            filter.access(rng.next32() & 0xffffff));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CaptureFilterAccess);
 
 void
 BM_TlbAnnexAccess(benchmark::State &state)

@@ -1,10 +1,11 @@
 /**
  * @file
  * Set-associative write-back cache with LRU replacement. Used in
- * three roles: the per-thread L1+L2 filter applied at trace-capture
- * time (§IV-A1), the per-socket shared LLC of the detailed socket,
- * and the "LLC-sized cache" each light socket keeps to filter
- * accesses and support coherence modeling (§IV-B).
+ * two roles: the per-socket shared LLC of the detailed socket, and
+ * the "LLC-sized cache" each light socket keeps to filter accesses
+ * and support coherence modeling (§IV-B). Trace capture's private
+ * filter is trace::CaptureFilter, which hits exactly where this
+ * cache would (DESIGN.md §18).
  */
 
 #ifndef STARNUMA_MEM_CACHE_HH

@@ -39,41 +39,12 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
     next32();
 }
 
-std::uint32_t
-Rng::next32()
-{
-    std::uint64_t old = state;
-    state = old * 6364136223846793005ULL + inc;
-    std::uint32_t xorshifted =
-        static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
-    std::uint32_t rot = static_cast<std::uint32_t>(old >> 59);
-    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31));
-}
-
 std::uint64_t
 Rng::next64()
 {
-    return (static_cast<std::uint64_t>(next32()) << 32) | next32();
-}
-
-std::uint32_t
-Rng::range32(std::uint32_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Rejection sampling to remove modulo bias.
-    std::uint32_t threshold = (-bound) % bound;
-    for (;;) {
-        std::uint32_t r = next32();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::uniform()
-{
-    return next32() * (1.0 / 4294967296.0);
+    // High word first, sequenced explicitly.
+    std::uint64_t hi = next32();
+    return (hi << 32) | next32();
 }
 
 std::uint32_t

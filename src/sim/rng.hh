@@ -40,13 +40,34 @@ class Rng
                  std::uint64_t stream = 0xda3e39cb94b95bdbULL);
 
     /** Next raw 32-bit value. */
-    std::uint32_t next32();
+    std::uint32_t
+    next32()
+    {
+        std::uint64_t old = state;
+        state = old * 6364136223846793005ULL + inc;
+        auto xorshifted =
+            static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
+        auto rot = static_cast<std::uint32_t>(old >> 59);
+        return (xorshifted >> rot) | (xorshifted << ((-rot) & 31));
+    }
 
     /** Next raw 64-bit value (two draws). */
     std::uint64_t next64();
 
     /** Uniform integer in [0, bound), bias-free via rejection. */
-    std::uint32_t range32(std::uint32_t bound);
+    std::uint32_t
+    range32(std::uint32_t bound)
+    {
+        if (bound == 0)
+            return 0;
+        // Rejection sampling to remove modulo bias.
+        std::uint32_t threshold = (-bound) % bound;
+        for (;;) {
+            std::uint32_t r = next32();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t
@@ -56,7 +77,7 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform() { return next32() * (1.0 / 4294967296.0); }
 
     /** Bernoulli draw: true with probability @p p. */
     bool chance(double p) { return uniform() < p; }

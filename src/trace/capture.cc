@@ -1,13 +1,25 @@
 #include "trace/capture.hh"
 
 #include <algorithm>
-
-#include "sim/logging.hh"
+#include <bit>
 
 namespace starnuma
 {
 namespace trace
 {
+
+CaptureFilter::CaptureFilter(const mem::CacheConfig &config)
+    : ways(config.ways)
+{
+    sn_assert(config.ways > 0 && config.sizeBytes >= blockBytes,
+              "bad cache geometry");
+    // mem::Cache's set count: rounded up to a power of two, >= 1.
+    std::uint32_t n = 1;
+    while (n < config.sizeBytes / (blockBytes * config.ways))
+        n <<= 1;
+    setMask = n - 1;
+    tags.assign(static_cast<std::size_t>(n) * ways, emptyTag);
+}
 
 CaptureContext::CaptureContext(int threads, mem::CacheConfig filter)
     : nextAddr(baseAddr), inSetup(false)
@@ -23,27 +35,13 @@ CaptureContext::alloc(Addr bytes)
 {
     Addr base = nextAddr;
     nextAddr += pagesCovering(bytes) * pageBytes;
+    // The filters keep u32 block numbers (CaptureFilter::emptyTag).
+    sn_assert(nextAddr / blockBytes < CaptureFilter::emptyTag,
+              "simulated address space exhausted");
+    std::size_t words = (pagesCovering(footprint()) + 63) / 64;
+    written.resize(words, 0);
+    touched.resize(words, 0);
     return base;
-}
-
-void
-CaptureContext::access(ThreadId t, Addr vaddr, bool write)
-{
-    sn_assert(t >= 0 && static_cast<std::size_t>(t) < state.size(),
-              "access by unknown thread %d", t);
-    PageNum page = pageNumber(vaddr);
-    if (inSetup) {
-        // Setup accesses are untimed; writes seed first touch.
-        if (write && touched.try_emplace(page, t).second)
-            firstTouches.push_back({page, t});
-        return;
-    }
-    ThreadState &ts = state[t];
-    ++ts.instructions; // the memory op is an instruction too
-    if (write)
-        written.insert(page);
-    if (!ts.filter.access(vaddr, write).hit)
-        ts.records.emplace_back(ts.instructions, vaddr, write);
 }
 
 std::uint64_t
@@ -71,10 +69,12 @@ CaptureContext::take(const std::string &workload,
         t.maxPage = pageNumber(nextAddr - 1);
     }
     t.firstTouches = std::move(firstTouches);
-    // Sorted so captured traces are byte-identical across runs
-    // (the set's hash order is not).
-    t.writtenPages.assign(written.begin(), written.end());
-    std::sort(t.writtenPages.begin(), t.writtenPages.end());
+    // Ascending page order, straight off the bitmap.
+    std::uint64_t first = pageNumber(baseAddr).value();
+    for (std::size_t w = 0; w < written.size(); ++w)
+        for (std::uint64_t bits = written[w]; bits; bits &= bits - 1)
+            t.writtenPages.push_back(
+                PageNum(first + w * 64 + std::countr_zero(bits)));
     t.perThread.reserve(state.size());
     for (auto &ts : state)
         t.perThread.push_back(std::move(ts.records));

@@ -14,6 +14,10 @@
  * and unfiltered: they only record which thread first touched each
  * page, seeding first-touch placement the way parallel
  * initialization does on a real system.
+ *
+ * Every access must fall inside the bump allocator's page range;
+ * the per-page written/touched flags are dense bitmaps over it
+ * (DESIGN.md §18).
  */
 
 #ifndef STARNUMA_TRACE_CAPTURE_HH
@@ -24,7 +28,7 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "sim/flat_map.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -32,6 +36,52 @@ namespace starnuma
 {
 namespace trace
 {
+
+/**
+ * The private-cache filter of one capture thread: tag-only,
+ * set-associative, exact LRU. Each set holds its ways' block numbers
+ * as u32 in most-recently-used order, so an 8-way set is 32 bytes
+ * and replacement is "drop the last". It has the set count and hit
+ * sequence of a mem::Cache of the same geometry (DESIGN.md §18),
+ * without the dirty bits, victims and use clock capture never reads.
+ * Block numbers must stay below emptyTag (addresses below 256 GB).
+ */
+class CaptureFilter
+{
+  public:
+    explicit CaptureFilter(const mem::CacheConfig &config);
+
+    /**
+     * Look up the block containing @p addr and make it the set's
+     * most recently used, allocating on miss.
+     * @return true on a hit.
+     */
+    bool
+    access(Addr addr)
+    {
+        auto block = static_cast<std::uint32_t>(addr / blockBytes);
+        std::uint32_t *set = &tags[(block & setMask) * ways];
+        int w = 0;
+        while (w < ways && set[w] != block)
+            ++w;
+        bool hit = w < ways;
+        // Shift the more recent ways down one slot; a miss drops
+        // the least recently used block off the end.
+        for (w = hit ? w : ways - 1; w > 0; --w)
+            set[w] = set[w - 1];
+        set[0] = block;
+        return hit;
+    }
+
+    /** Tag of an empty way; no block number reaches it. */
+    static constexpr std::uint32_t emptyTag = ~std::uint32_t(0);
+
+  private:
+    // Set-major: set s occupies [s*ways, (s+1)*ways), MRU first.
+    std::vector<std::uint32_t> tags;
+    std::uint32_t setMask;
+    int ways;
+};
 
 /** Capture-side instrumentation for one workload run. */
 class CaptureContext
@@ -94,7 +144,39 @@ class CaptureContext
                        std::uint64_t instructions_per_thread);
 
   private:
-    void access(ThreadId t, Addr vaddr, bool write);
+    void
+    access(ThreadId t, Addr vaddr, bool write)
+    {
+        sn_assert(t >= 0 && static_cast<std::size_t>(t) < state.size(),
+                  "access by unknown thread %d", t);
+        sn_assert(vaddr >= baseAddr && vaddr < nextAddr,
+                  "access to %#llx outside the allocated range",
+                  static_cast<unsigned long long>(vaddr));
+        // Page index relative to the first allocated page.
+        std::size_t page = pagesIn(vaddr - baseAddr);
+        if (inSetup) {
+            // Setup accesses are untimed; writes seed first touch.
+            if (write && !testAndSet(touched, page))
+                firstTouches.push_back({pageNumber(vaddr), t});
+            return;
+        }
+        ThreadState &ts = state[t];
+        ++ts.instructions; // the memory op is an instruction too
+        if (write)
+            testAndSet(written, page);
+        if (!ts.filter.access(vaddr))
+            ts.records.emplace_back(ts.instructions, vaddr, write);
+    }
+
+    /** Set bit @p i of @p bits; @return its previous value. */
+    static bool
+    testAndSet(std::vector<std::uint64_t> &bits, std::size_t i)
+    {
+        std::uint64_t mask = std::uint64_t(1) << (i % 64);
+        bool was = bits[i / 64] & mask;
+        bits[i / 64] |= mask;
+        return was;
+    }
 
     struct ThreadState
     {
@@ -103,7 +185,7 @@ class CaptureContext
         {
         }
 
-        mem::Cache filter;
+        CaptureFilter filter;
         std::uint64_t instructions;
         std::vector<MemRecord> records;
     };
@@ -111,8 +193,11 @@ class CaptureContext
     static constexpr Addr baseAddr = 0x10000000;
 
     std::vector<ThreadState> state;
-    FlatSet<PageNum> written;
-    FlatMap<PageNum, ThreadId> touched;
+    // One bit per allocated page, indexed from baseAddr's page:
+    // pages written in the timed run, and pages first-touched
+    // during setup.
+    std::vector<std::uint64_t> written;
+    std::vector<std::uint64_t> touched;
     std::vector<FirstTouch> firstTouches;
     Addr nextAddr;
     bool inSetup;

@@ -1,7 +1,7 @@
 #include "workloads/genomics.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -11,6 +11,62 @@ namespace workloads
 {
 
 // --- FMI ---
+
+std::vector<std::uint32_t>
+rotationSuffixArray(const std::vector<std::uint8_t> &text)
+{
+    auto n = static_cast<std::uint32_t>(text.size());
+    sn_assert(n > 0 && std::has_single_bit(n),
+              "text length %u is not a power of two", n);
+    const std::uint32_t mask = n - 1;
+    const std::uint8_t *txt = text.data();
+
+    // Pack each rotation's leading characters (2 bits each, first
+    // one most significant) above its start position, as many as
+    // fit in 64 bits: one integer sort then orders every rotation
+    // by that prefix, equal prefixes by position. For n < the
+    // prefix length the prefix wraps around the text, which keeps
+    // the order: rotations agreeing on n characters are identical.
+    const int pos_bits = std::countr_zero(n);
+    const int chars = (64 - pos_bits) / 2;
+    const std::uint64_t prefix_mask =
+        ~std::uint64_t(0) >> (64 - 2 * chars);
+    std::uint64_t prefix = 0;
+    for (int j = 0; j < chars; ++j)
+        prefix = (prefix << 2) | txt[j & mask];
+    std::vector<std::uint64_t> keys(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        keys[i] = (prefix << pos_bits) | i;
+        prefix = ((prefix << 2) | txt[(i + chars) & mask]) &
+                 prefix_mask;
+    }
+    std::sort(keys.begin(), keys.end());
+
+    // Runs of equal prefixes (rare in random text) are re-sorted by
+    // comparing whole cyclic rotations, ties broken by position.
+    auto rotation_less = [txt, n, mask](std::uint32_t a,
+                                        std::uint32_t b) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            std::uint8_t ca = txt[(a + i) & mask];
+            std::uint8_t cb = txt[(b + i) & mask];
+            if (ca != cb)
+                return ca < cb;
+        }
+        return a < b;
+    };
+    std::vector<std::uint32_t> sa(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        sa[i] = static_cast<std::uint32_t>(keys[i] & mask);
+    for (std::uint32_t lo = 0; lo < n;) {
+        std::uint32_t hi = lo + 1;
+        while (hi < n && keys[hi] >> pos_bits == keys[lo] >> pos_bits)
+            ++hi;
+        if (hi - lo > 1)
+            std::sort(sa.begin() + lo, sa.begin() + hi, rotation_less);
+        lo = hi;
+    }
+    return sa;
+}
 
 Fmi::Fmi(std::uint64_t rng_seed, std::uint32_t text_size,
          int pattern_length)
@@ -32,23 +88,7 @@ Fmi::setup(trace::CaptureContext &ctx, const SimScale &scale)
     for (auto &c : text)
         c = static_cast<std::uint8_t>(gen.range32(4));
 
-    // Suffix array by direct comparison sort: random text means
-    // comparisons terminate after ~log4(n) characters.
-    std::vector<std::uint32_t> sa(n);
-    std::iota(sa.begin(), sa.end(), 0);
-    const std::uint8_t *txt = text.data();
-    std::uint32_t len = n;
-    std::sort(sa.begin(), sa.end(),
-              [txt, len](std::uint32_t a, std::uint32_t b) {
-                  // Compare cyclic rotations (BWT convention).
-                  for (std::uint32_t i = 0; i < len; ++i) {
-                      std::uint8_t ca = txt[(a + i) & (len - 1)];
-                      std::uint8_t cb = txt[(b + i) & (len - 1)];
-                      if (ca != cb)
-                          return ca < cb;
-                  }
-                  return a < b;
-              });
+    std::vector<std::uint32_t> sa = rotationSuffixArray(text);
 
     // BWT and C table.
     bwt.resize(n);

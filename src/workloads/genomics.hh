@@ -26,6 +26,15 @@ namespace starnuma
 namespace workloads
 {
 
+/**
+ * Suffix array of the cyclic rotations of @p text (the BWT
+ * convention): every start position, ordered by its rotation
+ * compared character by character, equal rotations by position.
+ * @p text holds symbols 0..3 and its length is a power of two.
+ */
+std::vector<std::uint32_t>
+rotationSuffixArray(const std::vector<std::uint8_t> &text);
+
 /** FM-index (Full-text Minute-space Index) backward search. */
 class Fmi : public Workload
 {

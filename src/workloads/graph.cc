@@ -23,16 +23,10 @@ CsrGraph::kronecker(int scale, int avg_degree, Rng &rng)
     while (edge_list.size() < edges) {
         std::uint32_t u = 0, v = 0;
         for (int bit = 0; bit < scale; ++bit) {
+            // Quadrants a, b, c, d with probability .57/.19/.19/.05,
+            // chosen without branches.
             double r = rng.uniform();
-            int quadrant;
-            if (r < 0.57)
-                quadrant = 0; // a
-            else if (r < 0.76)
-                quadrant = 1; // b
-            else if (r < 0.95)
-                quadrant = 2; // c
-            else
-                quadrant = 3; // d
+            int quadrant = (r >= 0.57) + (r >= 0.76) + (r >= 0.95);
             u = (u << 1) | (quadrant >> 1);
             v = (v << 1) | (quadrant & 1);
         }

@@ -6,12 +6,13 @@
  * BFS parent edges exist in the graph; CC labels stay within their
  * vertex's connected component (vs a union-find ground truth);
  * SSSP distances always have a valid relaxation certificate; FMI
- * counts equal a naive text scan; TC's count is monotone and
- * deterministic.
+ * counts equal a naive text scan and its suffix array equals a
+ * naive rotation sort; TC's count is monotone and deterministic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <queue>
 #include <vector>
@@ -208,6 +209,79 @@ TEST(KernelCorrectness, FmiCountsMatchNaiveScan)
         }
         EXPECT_EQ(fmi.count(pattern), naive)
             << "pattern #" << q << " len " << len;
+    }
+}
+
+// The reference: sort every start position by comparing whole
+// cyclic rotations, ties by position.
+std::vector<std::uint32_t>
+naiveRotationSort(const std::vector<std::uint8_t> &text)
+{
+    std::vector<std::uint32_t> sa(text.size());
+    std::iota(sa.begin(), sa.end(), 0);
+    auto n = static_cast<std::uint32_t>(text.size());
+    std::sort(sa.begin(), sa.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  for (std::uint32_t i = 0; i < n; ++i) {
+                      std::uint8_t ca = text[(a + i) % n];
+                      std::uint8_t cb = text[(b + i) % n];
+                      if (ca != cb)
+                          return ca < cb;
+                  }
+                  return a < b;
+              });
+    return sa;
+}
+
+TEST(RotationSuffixArray, MatchesNaiveSortOnRandomText)
+{
+    Rng gen(7);
+    std::vector<std::uint8_t> text(1u << 13);
+    for (auto &c : text)
+        c = static_cast<std::uint8_t>(gen.range32(4));
+    EXPECT_EQ(rotationSuffixArray(text), naiveRotationSort(text));
+}
+
+TEST(RotationSuffixArray, MatchesNaiveSortOnPeriodicText)
+{
+    // Period 48 with a few mutations: most rotations agree far past
+    // the packed prefix, so the order comes from the tie-break
+    // sort; the unmutated stretch repeats whole rotations' worth of
+    // prefix, and equal rotations fall back to position order.
+    Rng gen(11);
+    std::vector<std::uint8_t> period(48);
+    for (auto &c : period)
+        c = static_cast<std::uint8_t>(gen.range32(4));
+    std::vector<std::uint8_t> text(1u << 11);
+    for (std::size_t i = 0; i < text.size(); ++i)
+        text[i] = period[i % period.size()];
+    for (int m = 0; m < 3; ++m)
+        text[gen.range32(static_cast<std::uint32_t>(text.size()))] ^= 1;
+    EXPECT_EQ(rotationSuffixArray(text), naiveRotationSort(text));
+
+    // A purely periodic text: rotations a period apart are equal.
+    std::vector<std::uint8_t> pure(1u << 10);
+    for (std::size_t i = 0; i < pure.size(); ++i)
+        pure[i] = period[i % 16];
+    EXPECT_EQ(rotationSuffixArray(pure), naiveRotationSort(pure));
+}
+
+TEST(RotationSuffixArray, MatchesNaiveSortOnShortText)
+{
+    // Shorter than the packed prefix: the key wraps around the
+    // text, possibly several times.
+    Rng gen(3);
+    for (std::uint32_t n : {1u, 2u, 4u, 8u, 16u}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            // Odd trials use two symbols, so rotations tie often.
+            std::uint32_t symbols = trial % 2 ? 2 : 4;
+            std::vector<std::uint8_t> text(n);
+            for (auto &c : text)
+                c = static_cast<std::uint8_t>(gen.range32(symbols));
+            EXPECT_EQ(rotationSuffixArray(text),
+                      naiveRotationSort(text))
+                << "n=" << n << " trial " << trial;
+        }
     }
 }
 

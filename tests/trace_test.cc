@@ -1,16 +1,23 @@
 /**
  * @file
- * Tests for the trace substrate: record packing, capture filtering,
- * setup-mode first touch, and the sharing-profile analysis behind
+ * Tests for the trace substrate: record packing, capture filtering
+ * (and its equivalence with mem::Cache), setup-mode first touch, the
+ * pinned step-A trace bytes, and the sharing-profile analysis behind
  * Figs 2 and 13. The trace format's round trips and decoder fuzzing
  * live in columnar_trace_test.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include "mem/cache.hh"
+#include "sim/cas/hash.hh"
+#include "sim/rng.hh"
+#include "sim/scale.hh"
 #include "trace/capture.hh"
+#include "trace/columnar.hh"
 #include "trace/profile.hh"
 #include "trace/trace.hh"
+#include "workloads/workload.hh"
 
 namespace starnuma
 {
@@ -93,6 +100,102 @@ TEST(Capture, PerThreadStreamsIndependent)
     auto t = ctx.take("x", 1);
     EXPECT_EQ(t.perThread[0].size(), 1u);
     EXPECT_EQ(t.perThread[1].size(), 1u);
+}
+
+TEST(Capture, AccessInsideAllocationsOnly)
+{
+    // The bump allocator's page range is the only legal target:
+    // take() reports it as [minPage, maxPage] and the per-page
+    // bitmaps cover exactly it.
+    CaptureContext ctx(1);
+    Addr a = ctx.alloc(2 * pageBytes);
+    ctx.store(0, a + 2 * pageBytes - 1);
+    auto t = ctx.take("x", 1);
+    EXPECT_EQ(t.minPage, pageNumber(a));
+    EXPECT_EQ(t.maxPage, pageNumber(a + pageBytes));
+    ASSERT_EQ(t.writtenPages.size(), 1u);
+    EXPECT_EQ(t.writtenPages[0], pageNumber(a + pageBytes));
+}
+
+using CaptureDeathTest = ::testing::Test;
+
+TEST(CaptureDeathTest, AccessOutsideAllocationPanics)
+{
+    CaptureContext ctx(1);
+    Addr a = ctx.alloc(pageBytes);
+    EXPECT_DEATH(ctx.load(0, a + pageBytes), "outside the allocated");
+    EXPECT_DEATH(ctx.store(0, a - 1), "outside the allocated");
+    ctx.beginSetup();
+    EXPECT_DEATH(ctx.store(0, a + pageBytes), "outside the allocated");
+    CaptureContext empty(1); // nothing allocated: nothing is legal
+    EXPECT_DEATH(empty.load(0, a), "outside the allocated");
+}
+
+// Step A's bytes, pinned: the columnar encoding of each kernel's
+// tiny-scale capture at seed 1. Downstream goldens only see these
+// through replay and timing; a change here is a change to a kernel,
+// its dataset, the capture filter or the trace format.
+TEST(Capture, TraceDigestsPinned)
+{
+    const std::pair<const char *, const char *> pinned[] = {
+        {"sssp", "714bdc17d12ce0fbf4c1bfa19a185a7c"},
+        {"bfs", "7934c997e7e72b57e50d81210b7e0740"},
+        {"cc", "f87054ed71e5689d444af6d8b0e48074"},
+        {"tc", "8b02b75b49a444d829c44ee45ef46b23"},
+        {"masstree", "8e5f1e5a5770ccfd4531d963c2e20e81"},
+        {"tpcc", "853622f80fcfdf6bf5bdab3b71fc8285"},
+        {"fmi", "a8366a39e023eda99f464534b3ee2ba9"},
+        {"poa", "4ed83ed8d7a47deb11a885d9300aaabf"},
+    };
+    ASSERT_EQ(std::size(pinned), workloads::workloadNames().size());
+    for (auto [name, digest] : pinned) {
+        auto trace = workloads::makeWorkload(name)->capture(
+            SimScale::tiny());
+        EXPECT_EQ(cas::hashBytes(encodeColumnar(trace)).hex(), digest)
+            << name;
+    }
+}
+
+// The capture filter must hit and miss exactly where a mem::Cache
+// of the same geometry does, on streams that thrash, reuse and
+// stride across sets.
+TEST(CaptureFilter, MatchesMemCacheHitSequence)
+{
+    const mem::CacheConfig geometries[] = {
+        {256 * 1024, 8}, // the capture default
+        {1024, 4},       // Capture.FilterSuppressesHits
+        {4096, 1},       // direct mapped
+        {5 * 64 * 2, 2}, // 5 sets round up to 8
+    };
+    for (const mem::CacheConfig &g : geometries) {
+        CaptureFilter filter(g);
+        mem::Cache cache(g);
+        Rng rng(g.sizeBytes + g.ways);
+        int mismatches = 0;
+        auto check = [&](Addr addr) {
+            bool write = rng.chance(0.3); // dirty bits change nothing
+            if (filter.access(addr) != cache.access(addr, write).hit &&
+                mismatches++ == 0)
+                ADD_FAILURE() << "geometry " << g.sizeBytes << "/"
+                              << g.ways << ": first mismatch at "
+                              << addr;
+        };
+        // Random addresses over a span a few times the capacity.
+        Addr span = 4 * g.sizeBytes;
+        for (int i = 0; i < 200000; ++i)
+            check(0x10000000 + rng.next32() % span);
+        // Strided sweeps, one of them a whole way apart (every
+        // access in one set), repeated so reuse and eviction both
+        // happen.
+        for (Addr stride : {Addr(8), Addr(64), Addr(192), Addr(4096),
+                            g.sizeBytes / g.ways})
+            for (int pass = 0; pass < 3; ++pass)
+                for (Addr a = 0; a < 2 * g.sizeBytes; a += stride)
+                    check(0x20000000 + a);
+        EXPECT_EQ(mismatches, 0);
+        EXPECT_GT(cache.hits(), 0u);
+        EXPECT_GT(cache.misses(), 0u);
+    }
 }
 
 TEST(Trace, RecordsPerKiloInstruction)
