@@ -7,6 +7,8 @@
  *   ./example_starnuma_cli --workload bfs --system starnuma \
  *       --phases 5 --instructions 400000 --region-kb 16
  *
+ * and audit the artifact store (`cache ls|verify|gc`, see usage).
+ *
  * Systems: baseline starnuma starnuma-t0 starnuma-switched
  *          baseline-iso-bw baseline-2x-bw starnuma-half-bw
  *          starnuma-small-pool baseline-static starnuma-static
@@ -16,8 +18,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "driver/artifact_cache.hh"
 #include "driver/experiment.hh"
 #include "workloads/workload.hh"
 #include "sim/logging.hh"
@@ -65,7 +69,54 @@ usage()
         "[--system NAME]\n"
         "  [--phases N] [--instructions N-per-thread-per-phase]\n"
         "  [--region-kb N] [--pool-fraction F]\n"
-        "  [--compare]   (also run the baseline, print speedup)");
+        "  [--compare]   (also run the baseline, print speedup)\n"
+        "       example_starnuma_cli cache ls|verify|gc "
+        "[--max-bytes N] [--drop-stale]\n"
+        "  (the store STARNUMA_CACHE_DIR names)");
+}
+
+/**
+ * `cache ls|verify|gc` over the store STARNUMA_CACHE_DIR names: ls
+ * lists every object's verdict, verify the bad ones (and fails if
+ * any), gc drops them (--drop-stale) and/or trims to --max-bytes.
+ */
+int
+cacheCommand(int argc, char **argv)
+{
+    std::string cmd = argc > 0 ? argv[0] : "";
+    bool drop = false;
+    std::optional<std::uint64_t> max_bytes;
+    for (int i = 1; i < argc; ++i) {
+        if (cmd == "gc" && !std::strcmp(argv[i], "--drop-stale"))
+            drop = true;
+        else if (cmd == "gc" && !std::strcmp(argv[i], "--max-bytes") &&
+                 i + 1 < argc) {
+            // A malformed budget must not read as 0 and empty the store.
+            char *end = nullptr;
+            max_bytes = std::strtoull(argv[++i], &end, 10);
+            if (end == argv[i] || *end != '\0')
+                cmd.clear();
+        } else {
+            cmd.clear();
+        }
+    }
+    auto store = driver::ArtifactCache::global().store();
+    if ((cmd != "ls" && cmd != "verify" && cmd != "gc") || !store) {
+        usage();
+        return 2;
+    }
+    driver::StoreAudit audit = driver::auditStore(*store, drop, max_bytes);
+    static const char *const verdicts[] = {"ok", "STALE", "INVALID"};
+    for (const driver::StoreAudit::Object &o : audit.objects)
+        if (cmd == "ls" || o.status != driver::ObjectStatus::Ok)
+            std::printf("%-7s %-18s %s\n",
+                        verdicts[static_cast<int>(o.status)],
+                        o.kind.c_str(), o.rel.c_str());
+    std::printf("cache %s: %zu ok, %zu stale, %zu invalid; %zu "
+                "object(s) now stored\n",
+                cmd.c_str(), audit.ok, audit.stale, audit.invalid,
+                store->listObjects().size());
+    return cmd == "verify" && audit.ok != audit.objects.size();
 }
 
 } // anonymous namespace
@@ -79,6 +130,9 @@ main(int argc, char **argv)
     Addr region_kb = 16;
     double pool_fraction = -1;
     bool compare = false;
+
+    if (argc > 1 && !std::strcmp(argv[1], "cache"))
+        return cacheCommand(argc - 2, argv + 2);
 
     for (int i = 1; i < argc; ++i) {
         auto next = [&]() -> const char * {

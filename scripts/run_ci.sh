@@ -5,7 +5,8 @@
 # input manifest, WERROR builds, thread-safety analysis and
 # clang-tidy),
 # the analyze backstop (scripts/check_hotpath_syms.sh over the
-# release disassembly), and the sanitizer matrix
+# disassembly of a RelWithDebInfo and a Release build), and the
+# sanitizer matrix
 # (scripts/run_sanitizers.sh: TSan and ASan+UBSan over ctest), then
 # print a per-stage pass/fail/skip summary with wall times. Stages
 # whose toolchain is absent on this machine (the clang ones on a
@@ -23,7 +24,7 @@
 #    smoke-tests the incremental sweep engine: a cold pass against a
 #    fresh artifact store, a warm pass against the persisted objects,
 #    asserting full result-tier hit rate and cold/warm byte identity,
-#    then a scripts/cas_tool.py integrity audit of every stored
+#    then `example_starnuma_cli cache verify` over every stored
 #    object. `bench` is opt-in — it re-measures step-B replay
 #    throughput and diffs against the committed BENCH_results.json
 #    with scripts/bench_history.py (20% tolerance on the wall-clock
@@ -71,20 +72,26 @@ tier1() {
 
 analyze() {
     # Source-level interprocedural discipline, then the binary
-    # backstop over the tier-1 build's disassembly.
+    # backstop over the tier-1 build's disassembly (-O2) and over a
+    # Release build's (-O3), where more of the code is inlined.
     python3 scripts/starnuma_hotpath.py &&
-        scripts/check_hotpath_syms.sh build
+        scripts/check_hotpath_syms.sh build &&
+        cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release &&
+        cmake --build build-release -j "$(nproc)" \
+              --target starnuma_tests &&
+        scripts/check_hotpath_syms.sh build-release
 }
 
 sweep_guard() {
     # Cold pass against a fresh store, warm pass against the same
     # store: the bench records the warm hit rate, the warm/cold
     # speedup and a byte-identity bit; this stage turns those into
-    # hard assertions and then audits every persisted object with
-    # the Python store twin (scripts/cas_tool.py).
+    # hard assertions and then audits every persisted object: any
+    # stale or invalid object in this fresh store fails the stage.
     cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
         cmake --build build -j "$(nproc)" \
-              --target bench_sweep_incremental || return 1
+              --target bench_sweep_incremental example_starnuma_cli ||
+        return 1
     local tmp
     tmp=$(mktemp -d) || return 1
     # shellcheck disable=SC2064
@@ -115,7 +122,8 @@ print("sweep stage: speedup %.1fx, hit rate %.2f, byte-identical %s"
          "yes" if r.get("sweep.warm_equals_cold") == 1.0 else "NO"))
 sys.exit(1 if failures else 0)
 EOF
-    python3 scripts/cas_tool.py verify "${tmp}/store"
+    STARNUMA_CACHE_DIR="${tmp}/store" \
+        ./build/examples/example_starnuma_cli cache verify
 }
 
 bench_guard() {

@@ -33,12 +33,15 @@ D13 Cache-key purity. Functions annotated ``// lint: artifact-root
     vocabulary found in reachable code is an undeclared input.
     ``getenv`` of a ``STARNUMA_*`` variable is a documented gate: it
     is allowed and recorded in the artifact's manifest instead. The
-    per-artifact input manifest (``scripts/artifact_inputs.json``)
-    is the cache-key schema for ROADMAP item 5 and is pinned by a
+    per-artifact input manifest (``scripts/artifact_inputs.json``:
+    roots, cache-key schema, declared env, escapes) is pinned by a
     ctest golden (``--check-manifest``). Escape: ``// lint:
     declared-input <reason>`` (a reviewed legitimate input) or
     ``// lint: taint-ok <reason>`` (reviewed: does not influence
-    artifact bytes) on the line.
+    artifact bytes) on the line. Key schema: the literal
+    ``field(k, "<name>", ...)`` names of each ``cache_key`` root must
+    be exactly ``CACHE_KEYS`` of the kind its ``"kind"`` field names
+    (``env.*`` gates aside).
 
 D14 Sink-registration discipline. Every stats/time-series/audit
     emission site (``Registry::add*``, ``TimeSeries::sample``/
@@ -86,6 +89,9 @@ COLD_ANNOTATION = "lint: cold-path"
 ORDER_ANNOTATION = "lint: order-independent"
 COLD_ATTRIBUTE = "STARNUMA_COLD_PATH"
 ARTIFACT_ROOT_RE = re.compile(r"lint:\s*artifact-root\s+([A-Za-z_]\w*)")
+KEY_FIELD_RE = re.compile(r'\bfield\(\s*\w+\s*,\s*"([^"]*)"')
+KEY_KIND_RE = re.compile(
+    r'\bfield\(\s*\w+\s*,\s*"kind"\s*,\s*(?:std::string\(\s*)?"([^"]*)"')
 ENV_NAME_RE = re.compile(r"STARNUMA_\w+")
 
 MANIFEST_DEFAULT = os.path.join(REPO_ROOT, "scripts",
@@ -795,6 +801,8 @@ class Analyzer:
                 for name in self._artifact_names(sf, f):
                     roots.setdefault(name, []).append(f)
         seen = set()
+        for f in roots.get("cache_key", []):
+            self._check_key_schema(self.tree[f.file_key], f)
         for name in sorted(roots):
             reach = self._bfs(roots[name])
             env = set()
@@ -810,6 +818,32 @@ class Analyzer:
                 "escapes": escapes,
             }
         return len(roots)
+
+    def _check_key_schema(self, sf, f):
+        lines = range(f.body_open_line, f.body_close_line + 1)
+        text = "\n".join(sf.raw_lines[i - 1] for i in lines)
+        kind = KEY_KIND_RE.search(text)
+        declared = CACHE_KEYS.get(kind.group(1)) if kind else None
+        if declared is None:
+            declared = []
+            self._key_finding(sf, f.name_line, f, "no CACHE_KEYS kind")
+        written = set()
+        for i in lines:
+            for name in KEY_FIELD_RE.findall(sf.raw_lines[i - 1]):
+                written.add(name)
+                if name != "kind" and not name.startswith("env.") \
+                        and name not in declared:
+                    self._key_finding(sf, i, f, "undeclared field "
+                                      "'%s'" % name)
+        for name in sorted(set(declared) - written):
+            self._key_finding(sf, f.name_line, f, "no declared field "
+                              "'%s'" % name)
+
+    def _key_finding(self, sf, line, f, what):
+        self.findings.append(core.Finding(
+            "D13", sf.rel, line, "cache_key root '%s' writes %s; its "
+            "field names must match CACHE_KEYS of its kind"
+            % (f.qualname, what)))
 
     def _scan_impure(self, sf, f, artifact, env, escapes, seen):
         toks = sf.toks
@@ -854,9 +888,6 @@ class Analyzer:
                 "cache_key": CACHE_KEYS.get(name, []),
                 "declared_env": sorted(a["env"]),
                 "escapes": sorted(a["escapes"]),
-                "files": sorted({f.file_key
-                                 for f in a["reach"].values()}),
-                "reachable_functions": len(a["reach"]),
                 "roots": sorted(f.qualname for f in a["roots"]),
             }
         doc = {"schema": MANIFEST_SCHEMA, "artifacts": arts}

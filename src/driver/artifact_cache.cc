@@ -1,8 +1,12 @@
 #include "driver/artifact_cache.hh"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
+#include "driver/artifact_key.hh"
+#include "sim/cas/code_epoch.hh"
 #include "sim/obs/registry.hh"
 
 namespace starnuma
@@ -26,10 +30,7 @@ ArtifactCache::store()
     if (!initialized) {
         initialized = true;
         // Default *off*: persisting every sweep artifact (step-A
-        // traces included) is an opt-in. The code-epoch stub value
-        // "unknown" (no Python at configure time) also keeps the
-        // cache off — without a real file-closure hash, stale
-        // objects could outlive the code that wrote them.
+        // traces included) is an opt-in.
         const char *env = std::getenv("STARNUMA_CACHE_DIR");
         if (env != nullptr) {
             std::string dir = env;
@@ -111,6 +112,37 @@ cacheNowNanos()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             now.time_since_epoch())
             .count());
+}
+
+StoreAudit
+auditStore(cas::Store &store, bool dropBad,
+           std::optional<std::uint64_t> maxBytes)
+{
+    const std::string epoch = cas::codeEpoch();
+    StoreAudit audit;
+    for (const std::string &rel : store.listObjects()) {
+        const std::string path = store.directory() + "/" + rel;
+        StoreAudit::Object o{rel, "", ObjectStatus::Invalid};
+        std::string key;
+        if (cas::Store::verifyObject(path, &key) &&
+            store.objectPath(key) == path) {
+            o.status = keyField(key, "code.epoch") == epoch
+                           ? ObjectStatus::Ok
+                           : ObjectStatus::Stale;
+            o.kind = keyField(key, "kind");
+        }
+        switch (o.status) {
+          case ObjectStatus::Ok: ++audit.ok; break;
+          case ObjectStatus::Stale: ++audit.stale; break;
+          case ObjectStatus::Invalid: ++audit.invalid; break;
+        }
+        if (dropBad && o.status != ObjectStatus::Ok)
+            std::remove(path.c_str());
+        audit.objects.push_back(std::move(o));
+    }
+    if (maxBytes)
+        store.trim(*maxBytes);
+    return audit;
 }
 
 obs::Snapshot

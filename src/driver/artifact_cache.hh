@@ -1,8 +1,8 @@
 /**
  * @file
  * Process-wide handle on the persistent artifact store plus the
- * cache-tier counters of the incremental sweep engine (DESIGN.md
- * §16). The store is the simulator's only on-disk persistence (step-A
+ * cache-tier counters of the incremental sweep engine and the store
+ * audit (DESIGN.md §16). The store is the simulator's only on-disk persistence (step-A
  * traces included). Off by default; enabled by STARNUMA_CACHE_DIR
  * (read once; ""/"0"/"off" keep it disabled) or explicitly via
  * enable() from benches and tests.
@@ -19,7 +19,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/cas/store.hh"
 #include "sim/sync.hh"
@@ -152,6 +154,30 @@ class ArtifactCache
     std::atomic<std::uint64_t> hitNanos_{0};
     std::atomic<std::uint64_t> missNanos_{0};
 };
+
+/** auditStore's verdict on one stored object. */
+enum class ObjectStatus { Ok, Stale, Invalid };
+
+/** auditStore's verdicts, one per object in path order. */
+struct StoreAudit {
+    struct Object {
+        std::string rel;  ///< path relative to the store directory
+        std::string kind; ///< the key's kind ("" when invalid)
+        ObjectStatus status;
+    };
+    std::vector<Object> objects;
+    std::size_t ok = 0, stale = 0, invalid = 0;
+};
+
+/**
+ * Audit every object of @p store: invalid when the store cannot
+ * decode it or its filename does not hash its embedded key, stale
+ * when its code.epoch is not cas::codeEpoch(), ok otherwise. The
+ * verdicts describe the store as found; then @p dropBad deletes the
+ * stale and invalid objects and @p maxBytes trims oldest-first.
+ */
+StoreAudit auditStore(cas::Store &store, bool dropBad = false,
+                      std::optional<std::uint64_t> maxBytes = {});
 
 /**
  * Snapshot of the cache counters for the "sweep.cache." stats

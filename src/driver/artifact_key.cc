@@ -211,7 +211,7 @@ traceKeyText(const std::string &workload, const SimScale &scale)
     field(k, "scale", scaleFingerprint(scale));
     field(k, "trace.format_version",
           static_cast<std::uint64_t>(2));
-    field(k, "code.epoch", cas::codeEpoch("step_a_trace"));
+    field(k, "code.epoch", cas::codeEpoch());
     envFields(k);
     return k;
 }
@@ -234,7 +234,7 @@ stateKeyText(const std::string &workload,
     field(k, "rng.seed", taskSeed({workload, setup.name}));
     field(k, "checkpoint.format_version",
           static_cast<std::uint64_t>(2));
-    field(k, "code.epoch", cas::codeEpoch("step_b_checkpoint"));
+    field(k, "code.epoch", cas::codeEpoch());
     envFields(k);
     return k;
 }
@@ -261,9 +261,25 @@ resultKeyText(const std::string &workload,
           static_cast<std::uint64_t>(2));
     field(k, "result.format_version",
           static_cast<std::uint64_t>(1));
-    field(k, "code.epoch", cas::codeEpoch("pipeline"));
+    field(k, "code.epoch", cas::codeEpoch());
     envFields(k);
     return k;
+}
+
+std::string
+keyField(const std::string &keyText, const std::string &name)
+{
+    const std::string prefix = name + "=";
+    for (std::size_t pos = 0; pos < keyText.size();) {
+        std::size_t end = keyText.find('\n', pos);
+        if (end == std::string::npos)
+            end = keyText.size();
+        if (keyText.compare(pos, prefix.size(), prefix) == 0)
+            return keyText.substr(pos + prefix.size(),
+                                  end - pos - prefix.size());
+        pos = end + 1;
+    }
+    return "";
 }
 
 } // namespace driver

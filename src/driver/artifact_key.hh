@@ -2,15 +2,15 @@
  * @file
  * Canonical cache-key texts for the content-addressed artifact
  * store (DESIGN.md §16). Each artifact kind's key is a multi-line
- * "field=value" text whose field names follow the manifest schema
- * of scripts/artifact_inputs.json (starnuma-artifact-inputs-v1):
- * the declared workload/scale/setup inputs, the policy-schedule
- * prefix, the code-epoch hash of the generating file closure, and
- * one line per declared STARNUMA_* environment gate. Env gates that
- * are byte-invariant by contract (pool size, artifact store location)
+ * "field=value" text whose field names follow the CACHE_KEYS schema
+ * in scripts/starnuma_taint.py (D13 checks every literal field name
+ * here against it): the declared workload/scale/setup inputs, the
+ * policy-schedule prefix, the whole-tree code epoch
+ * (sim/cas/code_epoch.hh, the same value in every kind), and one
+ * line per declared STARNUMA_* environment gate. Env gates that are
+ * byte-invariant by contract (pool size, artifact store location)
  * record the literal value "invariant" so warm hits work across
- * STARNUMA_THREADS settings. scripts/cas_tool.py re-parses these
- * texts and validates the field vocabulary against the manifest.
+ * STARNUMA_THREADS settings.
  */
 
 #ifndef STARNUMA_DRIVER_ARTIFACT_KEY_HH
@@ -56,6 +56,13 @@ std::string resultKeyText(const std::string &workload,
                           const SimScale &scale,
                           const cas::Hash128 &trace_content,
                           bool stats_enabled);
+
+/**
+ * Value of the "@p name=value" line of @p keyText, or "" when the
+ * key has no such field.
+ */
+std::string keyField(const std::string &keyText,
+                     const std::string &name);
 
 } // namespace driver
 } // namespace starnuma

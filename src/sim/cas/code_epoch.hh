@@ -1,16 +1,13 @@
 /**
  * @file
- * Build-time code-epoch hashes for the artifact cache keys
- * (DESIGN.md §16). Each artifact's epoch is the FNV-1a-128 digest
- * of its source-file closure as recorded in
- * scripts/artifact_inputs.json (the D13 manifest), so any edit to
- * code that can influence the artifact's bytes changes the epoch
- * and invalidates every cached object derived from it.
+ * The build-time code epoch carried by every artifact-store key
+ * (DESIGN.md §16): a digest of the relative path and contents of
+ * every .cc and .hh file under src/, so an edit to any simulator
+ * source file changes every key and stored objects from older code
+ * can only miss.
  *
  * The implementation is generated into the build tree by
- * scripts/gen_code_epoch.py; when the generator cannot run (no
- * Python at build time) a stub returns "unknown" and the cache
- * layer disables itself rather than risk stale hits.
+ * src/code_epoch.cmake whenever a source file changes.
  */
 
 #ifndef STARNUMA_SIM_CAS_CODE_EPOCH_HH
@@ -23,13 +20,8 @@ namespace starnuma
 namespace cas
 {
 
-/**
- * Epoch digest for @p artifact — "step_a_trace",
- * "step_b_checkpoint", or "pipeline" (the whole-src closure used
- * for end-to-end experiment results). Unknown names and generator
- * failure both return "unknown".
- */
-std::string codeEpoch(const std::string &artifact);
+/** The whole-tree epoch: 32 lowercase hex digits. */
+std::string codeEpoch();
 
 } // namespace cas
 } // namespace starnuma

@@ -7,8 +7,8 @@ namespace cas
 namespace
 {
 
-// FNV-1a 128-bit parameters (draft-eastlake-fnv). The Python twin in
-// scripts/cas_tool.py must use the same constants bit for bit.
+// FNV-1a 128-bit parameters (draft-eastlake-fnv). Object addresses
+// depend on them: CasHash.PinnedGoldens pins the digests.
 constexpr unsigned __int128
 u128(std::uint64_t hi, std::uint64_t lo)
 {

@@ -2,10 +2,10 @@
  * @file
  * 128-bit content hashing for the content-addressed artifact store
  * (DESIGN.md §16). FNV-1a widened to 128 bits: not cryptographic,
- * but collision-safe at sweep-matrix scale (thousands of objects),
- * byte-order independent of the host, and cheap to reimplement —
- * scripts/cas_tool.py carries a bit-exact Python twin so the store
- * can be audited without the C++ toolchain.
+ * but collision-safe at sweep-matrix scale (thousands of objects) and
+ * byte-order independent of the host. This is the store's one
+ * implementation; `example_starnuma_cli cache` audits a store
+ * through it.
  */
 
 #ifndef STARNUMA_SIM_CAS_HASH_HH

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "sim/bytes.hh"
 
@@ -240,12 +241,16 @@ Store::trim(std::uint64_t maxBytes)
 }
 
 bool
-Store::verifyObject(const std::string &path)
+Store::verifyObject(const std::string &path, std::string *keyText)
 {
     std::vector<std::uint8_t> bytes, payload;
-    std::string keyText;
-    return readWholeFile(path, bytes) &&
-           decodeObject(bytes, keyText, payload);
+    std::string key;
+    if (!readWholeFile(path, bytes) ||
+        !decodeObject(bytes, key, payload))
+        return false;
+    if (keyText)
+        *keyText = std::move(key);
+    return true;
 }
 
 } // namespace cas

@@ -4,14 +4,13 @@
  *
  * Objects are addressed by the FNV-1a-128 hash of their *key text* —
  * a canonical multi-line "field=value" description of the artifact's
- * declared cache-key inputs (driver/artifact_key.cc derives it from
- * the scripts/artifact_inputs.json schema). The payload's own
+ * declared cache-key inputs (driver/artifact_key.cc). The payload's own
  * content hash is stored alongside and re-verified on every fetch,
  * so corruption, truncation or a key-hash collision all demote to a
  * clean miss — never a wrong artifact, never undefined behaviour.
  *
- * On-disk layout (all integers little-endian, Python-parseable by
- * scripts/cas_tool.py):
+ * On-disk layout (all integers little-endian; audited by
+ * driver::auditStore behind `example_starnuma_cli cache`):
  *
  *     <dir>/objects/<kk>/<keyhash128hex>.cas
  *       magic   8 bytes  "STARCAS1"
@@ -86,10 +85,12 @@ class Store
 
     /**
      * Standalone integrity check of one object file: header,
-     * embedded key, payload hash.
+     * embedded key, payload hash. When @p keyText is given it
+     * receives the embedded key text of an intact object.
      * @return false when the file is missing, truncated or corrupt.
      */
-    static bool verifyObject(const std::string &path);
+    static bool verifyObject(const std::string &path,
+                             std::string *keyText = nullptr);
 
   private:
     std::string dir_;

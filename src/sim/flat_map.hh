@@ -255,7 +255,8 @@ class FlatMap
     }
 
     // lint: hot-path the dominant per-record probe-or-insert; all
-    // growth is outlined into the cold growForInsert/rebuild pair.
+    // growth is outlined into the cold appendEntry, growForInsert
+    // and rebuild.
     template <typename... Args>
     std::pair<iterator, bool>
     try_emplace(const Key &key, Args &&...args)
@@ -280,13 +281,7 @@ class FlatMap
             while (index_[b] != 0)
                 b = (b + 1) & mask_;
         }
-        // lint: cold-path amortized dense growth; reserve() backs
-        // the replay-loop uses, so these never reallocate there.
-        dense_.emplace_back(
-            std::piecewise_construct, std::forward_as_tuple(key),
-            std::forward_as_tuple(std::forward<Args>(args)...));
-        // lint: cold-path amortized, same as the dense vector above
-        dead_.push_back(0);
+        appendEntry(key, std::forward<Args>(args)...);
         index_[b] = static_cast<std::uint32_t>(dense_.size());
         ++live_;
         return {iterator(this, dense_.size() - 1), true};
@@ -420,6 +415,23 @@ class FlatMap
                 hole = j;
             }
         }
+    }
+
+    /**
+     * Append to the dense arrays, outlined so that no hot symbol
+     * inlining try_emplace carries the vectors' reallocation path
+     * (-O3 inlines it, operator new included).
+     */
+    // lint: cold-path amortized dense growth; reserve() backs the
+    // replay-loop uses, so these appends never reallocate there
+    template <typename... Args>
+    STARNUMA_COLD_PATH void
+    appendEntry(const Key &key, Args &&...args)
+    {
+        dense_.emplace_back(
+            std::piecewise_construct, std::forward_as_tuple(key),
+            std::forward_as_tuple(std::forward<Args>(args)...));
+        dead_.push_back(0);
     }
 
     /** Make room for one more entry: grow or drop tombstones. */

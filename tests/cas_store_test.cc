@@ -1,8 +1,8 @@
 /**
  * @file
  * Content-addressed artifact store (sim/cas/, DESIGN.md §16): hash
- * goldens pinning the FNV-1a-128 twin shared with
- * scripts/cas_tool.py, object round-trips, and the corruption
+ * goldens pinning the FNV-1a-128 object addressing, object
+ * round-trips, and the corruption
  * contract — every truncation prefix and every single-byte flip of
  * a stored object must demote to a clean miss, never a wrong
  * payload or undefined behaviour (the suite runs under ASan in the
@@ -57,11 +57,10 @@ writeFile(const std::string &path, const std::string &blob)
 }
 
 /**
- * Golden digests, independently derivable with the Python twin
- * (scripts/gen_code_epoch.py fnv1a128): the empty input pins the
- * offset basis, the other two pin the byte-at-a-time mixing. A
- * mismatch here means the store and cas_tool.py no longer agree on
- * addresses and every cross-audit silently breaks.
+ * Golden digests from the FNV-1a-128 definition: the empty input
+ * pins the offset basis, the other two pin the byte-at-a-time
+ * mixing. A mismatch here moves every object address, so every
+ * existing store would silently miss.
  */
 TEST(CasHash, PinnedGoldens)
 {

@@ -5,8 +5,9 @@
  * does), warm-equals-cold byte identity across worker-pool sizes,
  * differential re-simulation from the first divergent phase, the
  * corruption contract at the experiment tier (a damaged stored
- * bundle demotes to recomputation with identical artifacts), and
- * that with the store disabled nothing reaches the disk.
+ * bundle demotes to recomputation with identical artifacts), the
+ * one code epoch shared by every key, the store audit, and that
+ * with the store disabled nothing reaches the disk.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +22,9 @@
 #include "driver/artifact_key.hh"
 #include "driver/experiment.hh"
 #include "driver/trace_sim.hh"
+#include "sim/cas/code_epoch.hh"
 #include "sim/cas/hash.hh"
+#include "sim/cas/store.hh"
 #include "sim/obs/obs.hh"
 #include "sim/parallel.hh"
 #include "sim/scale.hh"
@@ -93,6 +96,17 @@ TEST(CacheKey, TraceKeyPerturbation)
     // No field names a trace directory: the store is the only disk
     // cache.
     EXPECT_EQ(base.find("TRACE_DIR"), std::string::npos);
+
+    // One whole-tree code epoch keys every stored tier.
+    const std::string epoch = cas::codeEpoch();
+    EXPECT_EQ(epoch.size(), 32u);
+    EXPECT_EQ(epoch.find_first_not_of("0123456789abcdef"),
+              std::string::npos);
+    driver::SystemSetup setup = driver::SystemSetup::starnuma();
+    for (const std::string &key :
+         {base, driver::stateKeyText("bfs", setup, s, fakeContent(), 1),
+          driver::resultKeyText("bfs", setup, s, fakeContent(), false)})
+        EXPECT_EQ(driver::keyField(key, "code.epoch"), epoch) << key;
 }
 
 TEST(CacheKey, ResultKeyPerturbation)
@@ -289,6 +303,52 @@ TEST(SweepCache, CorruptedBundleDemotesToRecompute)
     EXPECT_EQ(cache.partialHits(), 0u);
     EXPECT_EQ(cache.resultMisses(), 1u);
     EXPECT_EQ(placementBytes(redo), cold_bytes);
+}
+
+/**
+ * The audit behind `example_starnuma_cli cache`: fresh is ok, another
+ * epoch is stale, a bit flip or a filename that does not hash the key
+ * is invalid; dropping removes exactly those three, a zero budget
+ * empties the store.
+ */
+TEST(CacheAudit, CountsAndDropsBadObjects)
+{
+    cas::Store store(testing::TempDir() + "cache_audit");
+    store.trim(0);
+    SimScale s = SimScale::tiny();
+    const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7};
+
+    const std::string fresh = driver::traceKeyText("bfs", s);
+    std::string stale = driver::traceKeyText("tc", s);
+    const std::string epoch = cas::codeEpoch();
+    stale.replace(stale.find(epoch), epoch.size(),
+                  std::string(epoch.size(), '0'));
+    const std::string flipped = driver::traceKeyText("poa", s);
+    const std::string moved = driver::traceKeyText("fmi", s);
+    for (const std::string &key : {fresh, stale, flipped, moved})
+        ASSERT_TRUE(store.putObject(key, payload));
+
+    std::FILE *f = std::fopen(store.objectPath(flipped).c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, -1, SEEK_END);
+    std::fputc(payload.back() ^ 0x40, f);
+    std::fclose(f);
+    std::string to = store.objectPath(moved);
+    char &digit = to[to.size() - 5]; // the name's last hex digit
+    digit = digit == '0' ? '1' : '0';
+    ASSERT_EQ(std::rename(store.objectPath(moved).c_str(), to.c_str()),
+              0);
+
+    driver::StoreAudit audit = driver::auditStore(store, true);
+    EXPECT_EQ(audit.ok, 1u);
+    EXPECT_EQ(audit.stale, 1u);
+    EXPECT_EQ(audit.invalid, 2u);
+    std::vector<std::string> left = store.listObjects();
+    ASSERT_EQ(left.size(), 1u);
+    EXPECT_EQ(store.directory() + "/" + left[0], store.objectPath(fresh));
+
+    EXPECT_EQ(driver::auditStore(store, false, 0).ok, 1u);
+    EXPECT_TRUE(store.listObjects().empty());
 }
 
 TEST(SweepCache, TraceTierCountsCaptures)
