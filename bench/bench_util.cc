@@ -9,10 +9,7 @@
 #include <map>
 #include <mutex>
 
-#include "sim/obs/audit.hh"
 #include "sim/obs/obs.hh"
-#include "sim/obs/timeseries.hh"
-#include "sim/obs/trace_session.hh"
 #include "workloads/workload.hh"
 
 namespace starnuma
@@ -234,26 +231,9 @@ initBench(int *argc, char **argv)
     done = true;
     benchStart = std::chrono::steady_clock::now();
 
-    std::string stats_out = takeFlag(argc, argv, "stats-out");
-    if (!stats_out.empty()) {
-        obs::StatsSink::global().start(stats_out);
-        std::atexit([] { obs::StatsSink::global().write(); });
-    }
-    std::string trace_out = takeFlag(argc, argv, "trace-out");
-    if (!trace_out.empty()) {
-        obs::TraceSession::global().start(trace_out);
-        std::atexit([] { obs::TraceSession::global().write(); });
-    }
-    std::string ts_out = takeFlag(argc, argv, "timeseries-out");
-    if (!ts_out.empty()) {
-        obs::TimeSeriesSink::global().start(ts_out);
-        std::atexit([] { obs::TimeSeriesSink::global().write(); });
-    }
-    std::string audit_out = takeFlag(argc, argv, "audit-out");
-    if (!audit_out.empty()) {
-        obs::AuditSink::global().start(audit_out);
-        std::atexit([] { obs::AuditSink::global().write(); });
-    }
+    std::string obs_dir = takeFlag(argc, argv, "obs-dir");
+    if (!obs_dir.empty())
+        obs::RunSink::global().start(obs_dir);
     benchJsonPath = takeFlag(argc, argv, "bench-json");
     if (benchJsonPath.empty())
         if (const char *v = std::getenv("STARNUMA_BENCH_JSON"))

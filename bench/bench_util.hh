@@ -71,21 +71,15 @@ void recordResult(const std::string &key, double value);
 
 /**
  * Consume the observability flags and start the wall-time clock.
- * Call first thing in main(), before prewarm(), so stats/trace
- * capture the sweep itself. Idempotent; runBenchmarks() calls it as
- * a fallback. Flags handled (removed from argv):
+ * Call first thing in main(), before prewarm(), so the run
+ * directory captures the sweep itself. Idempotent; runBenchmarks()
+ * calls it as a fallback. Flags handled (removed from argv):
  *
- *   --stats-out=<path>       write the deterministic stats artifact
- *                            (same as STARNUMA_STATS_OUT)
- *   --trace-out=<path>       write a Chrome trace of the run
- *                            (same as STARNUMA_TRACE_OUT)
- *   --timeseries-out=<path>  write the deterministic per-epoch
- *                            time series, JSON or .csv
- *                            (same as STARNUMA_TIMESERIES_OUT)
- *   --audit-out=<path>       write the migration audit log, CSV or
- *                            .json (same as STARNUMA_AUDIT_OUT)
- *   --bench-json=<path>      write recorded results + wall time as
- *                            JSON (same as STARNUMA_BENCH_JSON)
+ *   --obs-dir=<dir>      write stats.json, timeseries.json,
+ *                        audit.csv and trace.json into <dir>
+ *                        (same as STARNUMA_OBS_DIR)
+ *   --bench-json=<path>  write recorded results + wall time as
+ *                        JSON (same as STARNUMA_BENCH_JSON)
  */
 void initBench(int *argc, char **argv);
 

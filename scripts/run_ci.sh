@@ -19,8 +19,10 @@
 #           obs sweep bench
 #   (default: tier1 lint taint clang-tsa clang-tidy analyze
 #    sanitizers obs sweep, in order; `obs` smoke-tests the observability
-#    pipeline — stats, Chrome trace, time series, audit log and the
-#    run-explain report (scripts/run_observability.sh). `sweep`
+#    pipeline through its one switch, STARNUMA_OBS_DIR: the run
+#    directory must hold exactly stats.json, timeseries.json,
+#    audit.csv and trace.json, each well-formed, and the run-explain
+#    report must render from it (scripts/run_observability.sh). `sweep`
 #    smoke-tests the incremental sweep engine: a cold pass against a
 #    fresh artifact store, a warm pass against the persisted objects,
 #    asserting full result-tier hit rate and cold/warm byte identity,

@@ -1,18 +1,16 @@
 #!/bin/sh
 # Smoke-test the observability pipeline end to end: build, run one
-# traced fast-mode experiment sweep (the Fig. 8 bench), and assert
-# that every artifact exists and parses —
+# fast-mode experiment sweep (the Fig. 8 bench) with the one switch
+# STARNUMA_OBS_DIR set, and assert that the run directory holds
+# exactly its four files and that each parses —
 #   stats.json       deterministic stats snapshot
-#                    (STARNUMA_STATS_OUT)
 #   trace.json       Chrome trace with phase duration events,
 #                    migration instants, and link-utilization
-#                    counters (STARNUMA_TRACE_OUT)
+#                    counters
 #   timeseries.json  deterministic per-epoch metric streams
-#                    (STARNUMA_TIMESERIES_OUT)
 #   audit.csv        Algorithm-1 migration decision log
-#                    (STARNUMA_AUDIT_OUT)
-#   report.txt       the joined run-explain report
-#                    (scripts/starnuma_report.py)
+# — then render the joined run-explain report
+# (scripts/starnuma_report.py) as report.txt next to them.
 # Artifacts land in ${STARNUMA_OBS_DIR:-obs_out}/.
 set -e
 cd "$(dirname "$0")/.."
@@ -23,22 +21,29 @@ fi
 cmake --build build --target bench_fig08_main_results
 
 out=${STARNUMA_OBS_DIR:-obs_out}
-mkdir -p "$out"
+# Only this script's own outputs are cleared; anything else already
+# in the directory fails the four-file check below.
+for f in stats.json trace.json timeseries.json audit.csv report.txt; do
+    rm -f "$out/$f"
+done
 
-STARNUMA_BENCH_FAST=1 \
-STARNUMA_STATS_OUT="$out/stats.json" \
-STARNUMA_TRACE_OUT="$out/trace.json" \
-STARNUMA_TIMESERIES_OUT="$out/timeseries.json" \
-STARNUMA_AUDIT_OUT="$out/audit.csv" \
+STARNUMA_BENCH_FAST=1 STARNUMA_OBS_DIR="$out" \
     ./build/bench/bench_fig08_main_results >/dev/null
 
-python3 - "$out/stats.json" "$out/trace.json" \
-    "$out/timeseries.json" "$out/audit.csv" <<'EOF'
+python3 - "$out" <<'EOF'
 import csv
 import json
+import os
 import sys
 
-stats_path, trace_path, ts_path, audit_path = sys.argv[1:5]
+run_dir = sys.argv[1]
+files = sorted(os.listdir(run_dir))
+assert files == ["audit.csv", "stats.json", "timeseries.json",
+                 "trace.json"], files
+stats_path, trace_path, ts_path, audit_path = (
+    os.path.join(run_dir, f)
+    for f in ("stats.json", "trace.json", "timeseries.json",
+              "audit.csv"))
 stats = json.load(open(stats_path))
 assert stats, "stats snapshot is empty"
 
@@ -79,11 +84,7 @@ print("observability OK: %d stats, %d trace events "
          len(series), len(audit), len(branches)))
 EOF
 
-python3 scripts/starnuma_report.py \
-    --stats "$out/stats.json" \
-    --timeseries "$out/timeseries.json" \
-    --audit "$out/audit.csv" \
-    -o "$out/report.txt"
+python3 scripts/starnuma_report.py "$out" -o "$out/report.txt"
 python3 - "$out/report.txt" <<'EOF'
 import sys
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Explain a StarNUMA run from its observability artifacts.
+"""Explain a StarNUMA run from its run directory.
 
-Joins the three deterministic artifacts one run writes --
+Joins the three deterministic files one observed run writes into
+its STARNUMA_OBS_DIR --
 
-  stats       flat sorted-key JSON snapshot (STARNUMA_STATS_OUT)
-  timeseries  per-epoch metric streams     (STARNUMA_TIMESERIES_OUT)
-  audit       Algorithm-1 decision log     (STARNUMA_AUDIT_OUT)
+  stats.json       flat sorted-key stats snapshot
+  timeseries.json  per-epoch metric streams
+  audit.csv        Algorithm-1 decision log
 
 -- into one human-readable report per (workload, setup) run:
 phase-by-phase attribution (instructions, cycles, IPC, link
@@ -15,16 +16,18 @@ delta that says where StarNUMA won or lost), the Algorithm-1
 decision-branch histogram with selection reasons, and the most
 migrated pages.
 
-Any subset of the three artifacts works; sections without input are
-omitted. `--self-test` renders an embedded miniature run against a
-golden report and is wired into ctest (starnuma_report_selftest).
+`--self-test` writes an embedded miniature run directory, renders
+it and checks the result against a golden report; it is wired into
+ctest (starnuma_report_selftest).
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 from collections import defaultdict
 
 MOVE_BRANCHES = ("toPool", "toSharer", "victimEviction")
@@ -53,10 +56,8 @@ def split_run(key):
     return parts[0] + "." + parts[1], parts[2]
 
 
-def load_stats(path):
-    """-> {run: {metric: value}} from the flat stats snapshot."""
-    with open(path) as fh:
-        flat = json.load(fh)
+def runs_from_flat(flat):
+    """-> {run: {metric: value}} from a flat '<run>.<metric>' map."""
     runs = defaultdict(dict)
     for key, value in flat.items():
         run, metric = split_run(key)
@@ -65,35 +66,24 @@ def load_stats(path):
     return runs
 
 
-def load_timeseries(path):
-    """-> {run: {stream: (ts, vs)}} from the time-series export."""
+def load_stats(path):
+    """-> {run: {metric: value}} from stats.json."""
     with open(path) as fh:
-        if path.endswith(".csv"):
-            streams = defaultdict(lambda: ([], []))
-            for row in csv.DictReader(fh):
-                ts, vs = streams[row["stream"]]
-                ts.append(int(row["t"]))
-                vs.append(float(row["value"]))
-        else:
-            streams = {
-                k: (v["t"], v["v"])
-                for k, v in json.load(fh).items()
-            }
-    runs = defaultdict(dict)
-    for key, (ts, vs) in streams.items():
-        run, stream = split_run(key)
-        if run is not None:
-            runs[run][stream] = (ts, vs)
-    return runs
+        return runs_from_flat(json.load(fh))
+
+
+def load_timeseries(path):
+    """-> {run: {stream: (ts, vs)}} from timeseries.json."""
+    with open(path) as fh:
+        flat = json.load(fh)
+    return runs_from_flat({k: (col["t"], col["v"])
+                           for k, col in flat.items()})
 
 
 def load_audit(path):
-    """-> {run: [record dicts]} from the audit CSV or JSON."""
+    """-> {run: [record dicts]} from audit.csv."""
+    runs = defaultdict(list)
     with open(path) as fh:
-        if path.endswith(".json"):
-            raw = json.load(fh)
-            return {run: list(recs) for run, recs in raw.items()}
-        runs = defaultdict(list)
         for row in csv.DictReader(fh):
             rec = dict(row)
             for field in ("phase", "region", "page", "sharers",
@@ -101,7 +91,14 @@ def load_audit(path):
                           "candidates", "from", "to"):
                 rec[field] = int(rec[field])
             runs[row["run"]].append(rec)
-        return dict(runs)
+    return dict(runs)
+
+
+def load_run_dir(directory):
+    """(stats, series, audit) runs from one run directory."""
+    return (load_stats(os.path.join(directory, "stats.json")),
+            load_timeseries(os.path.join(directory, "timeseries.json")),
+            load_audit(os.path.join(directory, "audit.csv")))
 
 
 def fmt(value, width=10, force_float=False):
@@ -411,22 +408,28 @@ Top migrated pages:
 """
 
 
-def runs_from_flat(flat):
-    runs = defaultdict(dict)
-    for key, value in flat.items():
-        run, metric = split_run(key)
-        if run is not None:
-            runs[run][metric] = value
-    return runs
+def write_selftest_dir(directory):
+    """Write the embedded fixtures as a run directory."""
+    with open(os.path.join(directory, "stats.json"), "w") as fh:
+        json.dump(SELFTEST_STATS, fh)
+    with open(os.path.join(directory, "timeseries.json"), "w") as fh:
+        json.dump(SELFTEST_TIMESERIES, fh)
+    with open(os.path.join(directory, "audit.csv"), "w",
+              newline="") as fh:
+        fields = ["run", "seq", "phase", "branch", "region", "page",
+                  "sharers", "accesses", "hiThreshold",
+                  "loThreshold", "candidates", "from", "to", "reason"]
+        writer = csv.DictWriter(fh, fields)
+        writer.writeheader()
+        for run, recs in SELFTEST_AUDIT.items():
+            for seq, rec in enumerate(recs):
+                writer.writerow(dict(rec, run=run, seq=seq))
 
 
 def self_test():
-    series_runs = defaultdict(dict)
-    for key, col in SELFTEST_TIMESERIES.items():
-        run, stream = split_run(key)
-        series_runs[run][stream] = (col["t"], col["v"])
-    got = render(runs_from_flat(SELFTEST_STATS), series_runs,
-                 SELFTEST_AUDIT, None, 10)
+    with tempfile.TemporaryDirectory() as directory:
+        write_selftest_dir(directory)
+        got = render(*load_run_dir(directory), None, 10)
     if got != SELFTEST_GOLDEN:
         sys.stderr.write("report self-test: got\n%s" % got)
         import difflib
@@ -441,13 +444,11 @@ def self_test():
 
 def main(argv):
     parser = argparse.ArgumentParser(
-        description="Join StarNUMA observability artifacts into a "
-                    "run-explain report.")
-    parser.add_argument("--stats", help="stats snapshot JSON")
-    parser.add_argument("--timeseries",
-                        help="time-series export (JSON or .csv)")
-    parser.add_argument("--audit",
-                        help="migration audit log (CSV or .json)")
+        description="Join a StarNUMA run directory (STARNUMA_OBS_DIR) "
+                    "into a run-explain report.")
+    parser.add_argument("run_dir", nargs="?",
+                        help="run directory holding stats.json, "
+                             "timeseries.json and audit.csv")
     parser.add_argument("--run", dest="only_run",
                         help="report a single '<workload>.<setup>'")
     parser.add_argument("--top", type=int, default=10,
@@ -461,15 +462,10 @@ def main(argv):
 
     if args.self_test:
         return self_test()
-    if not (args.stats or args.timeseries or args.audit):
-        parser.error("need at least one of --stats/--timeseries/"
-                     "--audit (or --self-test)")
+    if not args.run_dir:
+        parser.error("need a run directory (or --self-test)")
 
-    text = render(
-        load_stats(args.stats) if args.stats else {},
-        load_timeseries(args.timeseries) if args.timeseries else {},
-        load_audit(args.audit) if args.audit else {},
-        args.only_run, args.top)
+    text = render(*load_run_dir(args.run_dir), args.only_run, args.top)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -16,14 +16,13 @@ D12 Nondeterminism taint. Values originating at a taint source must
     container not annotated ``// lint: order-independent``. Sinks:
     the checkpoint/trace serializers (``putVarint``/``putDouble``/
     ``encodeColumnar``), ``obs::Registry``/``TimeSeries``/
-    ``AuditLog`` emission and the ``StatsSink``/
-    ``TimeSeriesSink``/``AuditSink``/``Snapshot`` aggregation
-    methods, bench-JSON ``recordResult``, and member stores into the
-    artifact structs (``TraceSimResult``/``Checkpoint``/
-    ``WorkloadTrace``/``AuditRecord``). Taint propagates over the
-    call graph through assignments, returns, call arguments and
-    class members; findings report the full source -> fn -> ... ->
-    sink chain. Escape: ``// lint: taint-ok <reason>`` on the source
+    ``AuditLog`` emission and the ``RunSink``/``Snapshot``
+    aggregation methods, bench-JSON ``recordResult``, and member
+    stores into the artifact structs (``TraceSimResult``/
+    ``Checkpoint``/``WorkloadTrace``/``AuditRecord``). Taint
+    propagates over the call graph through assignments, returns,
+    call arguments and class members; findings report the full
+    source -> fn -> ... -> sink chain. Escape: ``// lint: taint-ok <reason>`` on the source
     or the sink line.
 
 D13 Cache-key purity. Functions annotated ``// lint: artifact-root
@@ -145,10 +144,9 @@ METHOD_SINKS = {
     "addGaugeFn": ("Registry",),
     "addMean": ("Registry",),
     "addHistogram": ("Registry",),
-    "add": ("StatsSink", "TimeSeriesSink", "AuditSink"),
+    "add": ("RunSink",),
     "set": ("Snapshot",),
     "setCount": ("Snapshot",),
-    "setFormatted": ("Snapshot",),
     # Writes into the content-addressed artifact store persist
     # artifact bytes (DESIGN.md §16).
     "putObject": ("Store",),
@@ -162,8 +160,8 @@ SINK_STORE_CLASSES = ("TraceSimResult", "Checkpoint",
                       "WorkloadTrace", "AuditRecord")
 
 # --- D14 emission vocabulary (registration-gated subset: the
-# aggregation Sinks' own add() runs behind enabled() gates and is
-# not the hazard) ----------------------------------------------------
+# RunSink's own add() runs behind its enabled() gate and is not the
+# hazard) ------------------------------------------------------------
 
 EMISSION_METHODS = {
     "sample": ("TimeSeries",),
@@ -217,8 +215,8 @@ CACHE_KEYS = {
         "checkpoint.format_version",
         "code.epoch",
     ],
-    # Full experiment-result bundles ("STARRES1"): metrics + the
-    # embedded step-B artifact + the stats snapshots.
+    # Full experiment-result bundles ("STARRES2"): metrics + the
+    # embedded step-B artifact. Observed runs never use this tier.
     "experiment_result": [
         "workload.name",
         "trace.content",
@@ -227,7 +225,6 @@ CACHE_KEYS = {
         "policy.schedule",
         "scale",
         "rng.seed",
-        "obs.stats",
         "checkpoint.format_version",
         "result.format_version",
         "code.epoch",

@@ -4,6 +4,7 @@
 
 #include "sim/logging.hh"
 #include "sim/obs/audit.hh"
+#include "sim/obs/obs.hh"
 #include "sim/obs/registry.hh"
 #include "sim/obs/trace_session.hh"
 
@@ -140,19 +141,19 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
     std::vector<RegionMigration> plan;
     std::uint64_t moved_pages = 0;
 
-    // One record per Algorithm-1 decision, fanned into the two
+    // One record per Algorithm-1 decision, fanned into two
     // observability channels: an instant trace event (wall-clock
     // channel, the original five branches) and a structured
     // obs::AuditRecord (deterministic channel, every branch).
-    // Guarded so an unobserved run pays two relaxed loads per
-    // phase.
+    // Guarded so an unobserved run pays one relaxed load per phase.
     obs::TraceSession &trace = obs::TraceSession::global();
-    const bool tracing = trace.enabled();
-    const bool auditing = obs::AuditSink::global().enabled();
+    const bool observed = obs::RunSink::global().enabled();
     auto record = [&](obs::AuditBranch branch, RegionId region,
                       const TrackerEntry &e, NodeId from,
                       NodeId to, bool traced) {
-        if (tracing && traced) {
+        if (!observed)
+            return;
+        if (traced) {
             trace.instantNow(
                 "migration", "migration",
                 obs::TraceArgs()
@@ -171,8 +172,6 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
                     .add("phase", phase)
                     .str());
         }
-        if (!auditing)
-            return;
         obs::AuditRecord r;
         r.phase = static_cast<std::uint32_t>(phase);
         r.branch = branch;

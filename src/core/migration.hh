@@ -152,7 +152,7 @@ class MigrationEngine
      * Append the engine's mutable state (thresholds, RNG, per-region
      * migration counts, pool residency, cumulative counters) to
      * @p out for per-phase resume snapshots. The audit log is NOT
-     * serialized: resume is disabled while the AuditSink observes.
+     * serialized: resume is disabled while the obs::RunSink observes.
      */
     void saveState(std::vector<std::uint8_t> &out) const;
 
@@ -165,7 +165,7 @@ class MigrationEngine
 
     /**
      * Structured record of every Algorithm-1 decision across the
-     * phases run so far. Populated only while the obs::AuditSink is
+     * phases run so far. Populated only while the obs::RunSink is
      * enabled (one relaxed load per phase); empty otherwise.
      */
     const obs::AuditLog &audit() const { return audit_; }

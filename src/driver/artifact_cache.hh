@@ -181,7 +181,7 @@ StoreAudit auditStore(cas::Store &store, bool dropBad = false,
 
 /**
  * Snapshot of the cache counters for the "sweep.cache." stats
- * subtree (driver/sweep.cc adds it while the StatsSink observes a
+ * subtree (driver/sweep.cc adds it while the RunSink observes a
  * cache-enabled sweep).
  */
 obs::Snapshot sweepCacheSnapshot();

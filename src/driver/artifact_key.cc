@@ -243,8 +243,7 @@ stateKeyText(const std::string &workload,
 std::string
 resultKeyText(const std::string &workload,
               const SystemSetup &setup, const SimScale &scale,
-              const cas::Hash128 &trace_content,
-              bool stats_enabled)
+              const cas::Hash128 &trace_content)
 {
     std::string k;
     field(k, "kind", std::string("experiment_result"));
@@ -255,12 +254,10 @@ resultKeyText(const std::string &workload,
     field(k, "policy.schedule", scheduleFingerprint(setup, -1));
     field(k, "scale", scaleFingerprint(scale));
     field(k, "rng.seed", taskSeed({workload, setup.name}));
-    field(k, "obs.stats",
-          std::string(stats_enabled ? "on" : "off"));
     field(k, "checkpoint.format_version",
           static_cast<std::uint64_t>(2));
     field(k, "result.format_version",
-          static_cast<std::uint64_t>(1));
+          static_cast<std::uint64_t>(2));
     field(k, "code.epoch", cas::codeEpoch());
     envFields(k);
     return k;

@@ -47,15 +47,13 @@ std::string stateKeyText(const std::string &workload,
 
 /**
  * Key text of a full experiment-result bundle (metrics + step-B
- * checkpoints + stats snapshots). @p stats_enabled is the
- * obs::StatsSink bit: a bundle cached without registry snapshots
- * must not satisfy a run that needs them.
+ * checkpoints). Observed runs never use this tier, so no
+ * observability setting is part of the key.
  */
 std::string resultKeyText(const std::string &workload,
                           const SystemSetup &setup,
                           const SimScale &scale,
-                          const cas::Hash128 &trace_content,
-                          bool stats_enabled);
+                          const cas::Hash128 &trace_content);
 
 /**
  * Value of the "@p name=value" line of @p keyText, or "" when the

@@ -14,9 +14,7 @@
 #include "sim/cas/hash.hh"
 #include "sim/logging.hh"
 #include "sim/sync.hh"
-#include "sim/obs/audit.hh"
 #include "sim/obs/obs.hh"
-#include "sim/obs/timeseries.hh"
 #include "sim/obs/trace_session.hh"
 #include "trace/columnar.hh"
 #include "workloads/workload.hh"
@@ -151,42 +149,12 @@ workloadTraceCaptures()
 namespace
 {
 
-// Experiment-result bundle format v1 ("STARRES1"): the run's
-// metrics, the step-B artifact (checkpoint format v2, embedded via
-// TraceSimResult::serialize), and the two registry snapshots the
-// StatsSink would otherwise re-derive from live objects. Varint
-// coded with sim/bytes.hh; doubles keep their exact IEEE bits, so a
-// warm run's stats output is byte-identical to the cold run that
-// wrote the bundle.
-constexpr std::uint64_t resultBundleMagic = 0x5354415252455331ULL;
-
-void
-encodeSnapshot(std::vector<std::uint8_t> &buf,
-               const obs::Snapshot &s)
-{
-    putVarint(buf, s.values().size());
-    for (const auto &[path, value] : s.values()) {
-        putString(buf, path);
-        putString(buf, value);
-    }
-}
-
-bool
-decodeSnapshot(ByteReader &r, obs::Snapshot &s)
-{
-    std::uint64_t n = 0;
-    if (!r.getVarint(n) || n > r.remaining())
-        return false;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string path, value;
-        if (!r.getString(path) || !r.getString(value))
-            return false;
-        // Stored pre-formatted: re-formatting restored values
-        // would be a second rounding decision (registry.hh).
-        s.setFormatted(path, value);
-    }
-    return true;
-}
+// Experiment-result bundle format v2 ("STARRES2"): the run's
+// metrics and the step-B artifact (checkpoint format v2, embedded
+// via TraceSimResult::serialize). Varint coded with sim/bytes.hh;
+// doubles keep their exact IEEE bits. A bundle carries no
+// observability channel, so observed runs never use this tier.
+constexpr std::uint64_t resultBundleMagic = 0x5354415252455332ULL;
 
 void
 encodeMetrics(std::vector<std::uint8_t> &buf, const RunMetrics &m)
@@ -254,8 +222,7 @@ decodeMetrics(ByteReader &r, RunMetrics &m)
 // lint: cold-path once per experiment, cache-enabled runs only
 // lint: artifact-root experiment_result
 std::vector<std::uint8_t>
-encodeResultBundle(const ExperimentResult &result,
-                   const obs::Snapshot &timing_stats)
+encodeResultBundle(const ExperimentResult &result)
 {
     std::vector<std::uint8_t> buf;
     putVarint(buf, resultBundleMagic);
@@ -263,24 +230,41 @@ encodeResultBundle(const ExperimentResult &result,
     std::vector<std::uint8_t> placement =
         result.placement.serialize();
     buf.insert(buf.end(), placement.begin(), placement.end());
-    encodeSnapshot(buf, result.placement.stats);
-    encodeSnapshot(buf, timing_stats);
     return buf;
 }
 
 // lint: cold-path once per experiment, cache-enabled runs only
 bool
 decodeResultBundle(const std::vector<std::uint8_t> &payload,
-                   ExperimentResult &result,
-                   obs::Snapshot &timing_stats)
+                   ExperimentResult &result)
 {
     ByteReader r(payload.data(), payload.size());
     std::uint64_t magic = 0;
     return r.getVarint(magic) && magic == resultBundleMagic &&
            decodeMetrics(r, result.metrics) &&
-           result.placement.deserialize(r) &&
-           decodeSnapshot(r, result.placement.stats) &&
-           decodeSnapshot(r, timing_stats) && r.remaining() == 0;
+           result.placement.deserialize(r) && r.remaining() == 0;
+}
+
+/**
+ * Hand one finished run to the run sink under its
+ * "<workload>.<setup>" key (DESIGN.md §9): summary, timing and
+ * trace-sim stats, both sides' time series, and the audit log.
+ */
+// lint: cold-path once per experiment, observed runs only
+void
+observeRun(const std::string &run, const RunMetrics &m,
+           const TimingSim &timing, const TraceSimResult &placement)
+{
+    obs::RunSink &sink = obs::RunSink::global();
+    if (!sink.enabled())
+        return;
+    const std::string prefix = run + ".";
+    sink.add(prefix + "summary.", metricsSnapshot(m));
+    sink.add(prefix + "timing.", timing.stats());
+    sink.add(prefix + "traceSim.", placement.stats);
+    sink.add(prefix + "timing.", timing.timeseries());
+    sink.add(prefix + "traceSim.", placement.timeseries);
+    sink.add(run, placement.audit);
 }
 
 } // anonymous namespace
@@ -301,40 +285,24 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
 
     ArtifactCache &cache = ArtifactCache::global();
     std::shared_ptr<cas::Store> store = cache.store();
-    obs::StatsSink &sink = obs::StatsSink::global();
-    obs::TimeSeriesSink &ts_sink = obs::TimeSeriesSink::global();
-    obs::AuditSink &audit_sink = obs::AuditSink::global();
-    // Result bundles deliberately exclude the TimeSeries and Audit
-    // channels (unbounded diagnostic streams): while either sink
-    // observes, the experiment tier runs uncached and the phase
-    // hooks stay off (trace_sim enforces the same envelope).
-    const bool use_cache = store != nullptr &&
-                           !ts_sink.enabled() &&
-                           !audit_sink.enabled();
+    // Result bundles carry no observability channel: while the run
+    // sink observes, the experiment tier runs uncached and the
+    // phase hooks stay off (trace_sim enforces the same envelope).
+    const bool use_cache =
+        store != nullptr && !obs::RunSink::global().enabled();
 
     ExperimentResult result;
     std::string rkey;
     if (use_cache) {
         rkey = resultKeyText(workload, setup, scale,
-                             traceContentHash(*entry),
-                             sink.enabled());
+                             traceContentHash(*entry));
         std::vector<std::uint8_t> payload;
-        obs::Snapshot timing_stats;
         std::uint64_t t0 = cacheNowNanos();
         if (store->fetchObject(rkey, payload) &&
-            decodeResultBundle(payload, result, timing_stats)) {
+            decodeResultBundle(payload, result)) {
             cache.noteResultHit();
             cache.noteBytesRead(payload.size());
             cache.noteHitNanos(cacheNowNanos() - t0);
-            if (sink.enabled()) {
-                std::string prefix =
-                    workload + "." + setup.name + ".";
-                sink.add(prefix + "summary.",
-                         metricsSnapshot(result.metrics));
-                sink.add(prefix + "timing.", timing_stats);
-                sink.add(prefix + "traceSim.",
-                         result.placement.stats);
-            }
             return result;
         }
         result = ExperimentResult();
@@ -396,29 +364,15 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
 
     if (use_cache) {
         std::vector<std::uint8_t> payload =
-            encodeResultBundle(result, timing.stats());
+            encodeResultBundle(result);
         if (store->putObject(rkey, payload))
             cache.noteBytesWritten(payload.size());
         cache.noteResultMiss();
         cache.noteMissNanos(cacheNowNanos() - miss_t0);
     }
 
-    if (sink.enabled()) {
-        std::string prefix = workload + "." + setup.name + ".";
-        sink.add(prefix + "summary.",
-                 metricsSnapshot(result.metrics));
-        sink.add(prefix + "timing.", timing.stats());
-        sink.add(prefix + "traceSim.", result.placement.stats);
-    }
-    if (ts_sink.enabled()) {
-        std::string prefix = workload + "." + setup.name + ".";
-        ts_sink.add(prefix + "timing.", timing.timeseries());
-        ts_sink.add(prefix + "traceSim.",
-                    result.placement.timeseries);
-    }
-    if (audit_sink.enabled())
-        audit_sink.add(workload + "." + setup.name,
-                       result.placement.audit);
+    observeRun(workload + "." + setup.name, result.metrics, timing,
+               result.placement);
     return result;
 }
 
@@ -444,22 +398,11 @@ runSingleSocket(const std::string &workload, const SimScale &scale)
     TimingSim timing(setup, scale, options);
     RunMetrics m = timing.run(trace, placement);
 
-    obs::StatsSink &sink = obs::StatsSink::global();
-    if (sink.enabled()) {
-        std::string prefix = workload + ".single-socket.";
-        sink.add(prefix + "summary.", metricsSnapshot(m));
-        sink.add(prefix + "timing.", timing.stats());
-    }
-    obs::TimeSeriesSink &ts_sink = obs::TimeSeriesSink::global();
-    if (ts_sink.enabled()) {
-        std::string prefix = workload + ".single-socket.";
-        ts_sink.add(prefix + "timing.", timing.timeseries());
-        ts_sink.add(prefix + "traceSim.", placement.timeseries);
-    }
-    obs::AuditSink &audit_sink = obs::AuditSink::global();
-    if (audit_sink.enabled())
-        audit_sink.add(workload + ".single-socket",
-                       placement.audit);
+    // The reference reports no traceSim stats subtree: every access
+    // is local, so the placement engine's counters describe nothing
+    // the timing run used.
+    placement.stats = obs::Snapshot();
+    observeRun(workload + ".single-socket", m, timing, placement);
     return m;
 }
 

@@ -37,9 +37,9 @@ runSweep(const std::vector<SweepJob> &jobs)
             });
     // Cache-tier attribution for this sweep (DESIGN.md §16): the
     // counters are process-wide, so they are sampled after the join
-    // barrier above and only while both the cache and the StatsSink
+    // barrier above and only while both the cache and the run sink
     // are on — an uncached sweep's stats artifact is unchanged.
-    obs::StatsSink &sink = obs::StatsSink::global();
+    obs::RunSink &sink = obs::RunSink::global();
     if (sink.enabled() && ArtifactCache::global().enabled())
         sink.add("sweep.cache.", sweepCacheSnapshot());
     return results;

@@ -276,7 +276,7 @@ class PhaseSim
                      std::uint64_t next_instr) const;
     void finishCore(CoreState &c);
     void pace();
-    void sampleEpoch(bool emit_trace);
+    void sampleEpoch();
     bool allDetailedDone() const;
 
     // --- memory system (asynchronous request path) ---
@@ -333,9 +333,8 @@ class PhaseSim
     Cycles lastPaceCycle;
     std::uint64_t missCount = 0;
     bool stop = false;
-    // Telemetry gates, read once when the phase is built.
-    bool tracing;  ///< a trace session records counter events
-    bool sampling; ///< a time-series sink records the epoch series
+    // Telemetry gate, read once when the phase is built.
+    bool observed; ///< the run sink records epoch series + counters
 
     // Simulated-timeline epoch telemetry: the deterministic series
     // is the single source; trace counter events re-emit from it.
@@ -373,8 +372,7 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
       st(phase_stats), phase_(phase),
       onChip(nsToCycles(setup.sys.onChipNs)),
       lightCpi(core.baseCpi * 2),
-      tracing(obs::TraceSession::global().enabled()),
-      sampling(obs::TimeSeriesSink::global().enabled())
+      observed(obs::RunSink::global().enabled())
 {
     sn_assert(core.mshrs > 0, "cores need at least one MSHR");
     machine.newPhase(checkpoint);
@@ -905,16 +903,16 @@ PhaseSim::pace()
     // One sampling point feeds both telemetry channels (DESIGN.md
     // §14): the deterministic series, and the trace counters that
     // re-emit from it.
-    if (tracing || sampling)
-        sampleEpoch(tracing);
+    if (observed)
+        sampleEpoch();
     if (!stop)
         q.scheduleAfter(pacerPeriod, {.kind = EventKind::Pace});
 }
 
-// lint: cold-path pacer-epoch telemetry; only invoked when a trace
-// session or time-series sink is enabled (see pace() gates)
+// lint: cold-path pacer-epoch telemetry; only invoked when the run
+// sink is enabled (see the pace() gate)
 STARNUMA_COLD_PATH void
-PhaseSim::sampleEpoch(bool emit_trace)
+PhaseSim::sampleEpoch()
 {
     // Per-pacer-epoch samples on the simulated timeline. Busy
     // cycles are cumulative, so each epoch's utilization is the
@@ -956,8 +954,6 @@ PhaseSim::sampleEpoch(bool emit_trace)
     lastDramRequests = req;
     lastTraceCycle = now;
 
-    if (!emit_trace)
-        return;
     obs::TraceSession &tr = obs::TraceSession::global();
     std::string tag = "phase" + std::to_string(phase_);
     double ts_us = cyclesToNs(now) / 1000.0;
@@ -1155,8 +1151,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     // Phase order is canonical here, so the merged snapshot and
     // series are identical for any pool size.
     Cycles total_horizon;
-    const bool collect = obs::StatsSink::global().enabled();
-    const bool collect_ts = obs::TimeSeriesSink::global().enabled();
+    const bool collect = obs::RunSink::global().enabled();
     for (std::size_t i = 0; i < phases.size(); ++i) {
         phases[i].accumulate(m);
         total_horizon += phases[i].horizon;
@@ -1165,10 +1160,9 @@ TimingSim::run(const trace::WorkloadTrace &trace,
             phases[i].registerStats(reg);
             stats_.merge(phasePrefix(static_cast<int>(i)),
                          reg.snapshot());
-        }
-        if (collect_ts)
             timeseries_.merge(phasePrefix(static_cast<int>(i)),
                               phases[i].series);
+        }
     }
 
     // Component-level stats of the surviving machine (independent

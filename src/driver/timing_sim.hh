@@ -100,7 +100,7 @@ class TimingSim
     /**
      * Detailed per-phase/per-component statistics (obs registry
      * snapshots taken during the last run()). Populated only while
-     * the StatsSink is enabled; empty otherwise. Kept out of
+     * the obs::RunSink is enabled; empty otherwise. Kept out of
      * RunMetrics so that stays trivially copyable (tests compare
      * runs by memcmp).
      */
@@ -110,7 +110,7 @@ class TimingSim
      * Per-epoch telemetry of the last run(): each phase's link
      * utilization and DRAM request-rate streams merged under a
      * "phaseNN." prefix in canonical phase order. Populated only
-     * while the obs::TimeSeriesSink is enabled; empty otherwise.
+     * while the obs::RunSink is enabled; empty otherwise.
      * Kept out of RunMetrics for the same reason as stats().
      */
     const obs::TimeSeries &timeseries() const { return timeseries_; }

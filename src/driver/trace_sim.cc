@@ -10,9 +10,7 @@
 #include "mem/page_map.hh"
 #include "sim/annotations.hh"
 #include "sim/logging.hh"
-#include "sim/obs/audit.hh"
 #include "sim/obs/obs.hh"
-#include "sim/obs/timeseries.hh"
 #include "sim/rng.hh"
 #include "trace/columnar.hh"
 
@@ -54,13 +52,11 @@ TraceSim::run(const trace::WorkloadTrace &trace,
               "trace captured for %d threads, scale expects %d",
               trace.threads, scale.threads());
     // Resume/capture envelope (DESIGN.md §16): only pooled dynamic
-    // runs serialize cleanly, and only with the telemetry sinks off
-    // (their streams are not part of the state image).
-    // lint: cold-path once-per-run telemetry-sink gate
-    const bool ts_on = obs::TimeSeriesSink::global().enabled();
-    // lint: cold-path once-per-run telemetry-sink gate
-    const bool audit_on = obs::AuditSink::global().enabled();
-    if (!setup.sys.hasPool || ts_on || audit_on)
+    // runs serialize cleanly, and only while the run sink is off
+    // (its streams and audit log are not part of the state image).
+    // lint: cold-path once-per-run run-sink gate
+    const bool observed = obs::RunSink::global().enabled();
+    if (!setup.sys.hasPool || observed)
         hooks = nullptr;
     TraceSimResult result =
         setup.placement == Placement::StaticOracle
@@ -142,7 +138,7 @@ struct ReplayTelemetry
 };
 
 // lint: cold-path telemetry stream registration, once per run when
-// the TimeSeriesSink is enabled
+// the run sink is enabled
 STARNUMA_COLD_PATH void
 initReplayTelemetry(ReplayTelemetry &t, obs::TimeSeries &series,
                     bool star, int phases)
@@ -604,11 +600,11 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
             pm.touch(ft.page, socketOf(ft.thread));
     }
 
-    // lint: cold-path once-per-run telemetry gate behind one
-    // relaxed load; off in benchmarked replay.
-    const bool sample_ts = obs::TimeSeriesSink::global().enabled();
+    // lint: cold-path once-per-run run-sink gate behind one relaxed
+    // load; off in benchmarked replay.
+    const bool observed = obs::RunSink::global().enabled();
     ReplayTelemetry telemetry;
-    if (sample_ts)
+    if (observed)
         initReplayTelemetry(telemetry, result.timeseries, star,
                             scale.phases);
 
@@ -698,7 +694,7 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
         } else {
             pending_pages = perfect.decidePhase(pm);
         }
-        if (sample_ts)
+        if (observed)
             sampleReplayPhase(telemetry, result.timeseries,
                               static_cast<std::uint64_t>(phase + 1),
                               pending_regions.size(),
@@ -721,19 +717,16 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
         result.tlbShootdownsSent = tlb_dir.shootdownsSent();
         result.tlbShootdownsSaved = tlb_dir.shootdownsSaved();
     }
-    // lint: cold-path once-per-run stats export behind one relaxed
-    // load; off in benchmarked replay.
-    if (obs::StatsSink::global().enabled()) {
+    // lint: cold-path once-per-run stats and audit export behind
+    // the run-sink gate above; off in benchmarked replay.
+    if (observed) {
         obs::Registry reg;
         engine.registerStats(reg, "engine");
         if (star)
             tlb_dir.registerStats(reg, "tlbDirectory");
         result.stats = reg.snapshot();
-    }
-    // lint: cold-path once-per-run audit export behind one relaxed
-    // load; off in benchmarked replay.
-    if (obs::AuditSink::global().enabled())
         result.audit = engine.audit();
+    }
     return true;
 }
 

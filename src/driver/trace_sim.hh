@@ -107,7 +107,7 @@ struct TraceSimResult
 
     /**
      * Migration-engine / TLB-directory registry snapshot, taken at
-     * the end of the run while the obs::StatsSink is enabled; empty
+     * the end of the run while the obs::RunSink is enabled; empty
      * otherwise. Not part of the serialize() image.
      */
     obs::Snapshot stats;
@@ -116,15 +116,14 @@ struct TraceSimResult
      * Per-phase replay telemetry (DESIGN.md §14), sampled once per
      * migration phase with the phase number as timestamp: pool
      * occupancy, TLB miss count and rate, pages migrated, targeted
-     * shootdown messages. Populated only while the
-     * obs::TimeSeriesSink is enabled; empty otherwise. Not
-     * part of the serialize() image.
+     * shootdown messages. Populated only while the obs::RunSink is
+     * enabled; empty otherwise. Not part of the serialize() image.
      */
     obs::TimeSeries timeseries;
 
     /**
      * The migration engine's structured Algorithm-1 decision log
-     * (DESIGN.md §14). Populated only while the obs::AuditSink is
+     * (DESIGN.md §14). Populated only while the obs::RunSink is
      * enabled; empty otherwise. Not part of the serialize() image.
      */
     obs::AuditLog audit;
@@ -154,11 +153,11 @@ struct TraceSimResult
  * scratch.
  *
  * The hooks are honored only on dynamic-placement runs of a pooled
- * (StarNUMA) setup with the TimeSeriesSink and AuditSink disabled:
- * the state image carries neither telemetry deltas nor the audit
- * log, and the baseline's perfect-knowledge policy is deliberately
- * not serialized. Outside that envelope TraceSim silently ignores
- * the hooks and runs cold — never a wrong artifact.
+ * (StarNUMA) setup with the obs::RunSink disabled: the state image
+ * carries neither telemetry deltas nor the audit log, and the
+ * baseline's perfect-knowledge policy is deliberately not
+ * serialized. Outside that envelope TraceSim silently ignores the
+ * hooks and runs cold — never a wrong artifact.
  */
 struct PhaseStateHooks
 {

@@ -1,8 +1,5 @@
 #include "sim/obs/audit.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "sim/logging.hh"
 #include "sim/obs/registry.hh"
 
@@ -10,30 +7,6 @@ namespace starnuma
 {
 namespace obs
 {
-
-namespace
-{
-
-bool
-writeWholeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-              content.size();
-    return std::fclose(f) == 0 && ok;
-}
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::string suf(suffix);
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
-} // anonymous namespace
 
 const char *
 auditBranchName(AuditBranch b)
@@ -88,207 +61,25 @@ AuditLog::append(const AuditRecord &r)
     recs.push_back(r);
 }
 
-namespace
-{
-
-/** The shared per-record field serialization (CSV cell order). */
-void
-appendFields(std::string &out, const AuditRecord &r,
-             const char *sep, bool quoted_reason)
-{
-    out += formatCount(r.phase);
-    out += sep;
-    out += auditBranchName(r.branch);
-    out += sep;
-    out += formatCount(r.region);
-    out += sep;
-    out += formatCount(r.page);
-    out += sep;
-    out += formatCount(r.sharers);
-    out += sep;
-    out += formatCount(r.accesses);
-    out += sep;
-    out += formatCount(r.hiThreshold);
-    out += sep;
-    out += formatCount(r.loThreshold);
-    out += sep;
-    out += formatCount(r.candidates);
-    out += sep;
-    out += std::to_string(r.from);
-    out += sep;
-    out += std::to_string(r.to);
-    out += sep;
-    if (quoted_reason)
-        out += "\"";
-    out += auditBranchReason(r.branch);
-    if (quoted_reason)
-        out += "\"";
-}
-
-} // anonymous namespace
-
 std::string
 AuditLog::csvRows(const std::string &run) const
 {
     std::string out;
     for (std::size_t i = 0; i < recs.size(); ++i) {
-        out += run + "," + formatCount(i) + ",";
-        appendFields(out, recs[i], ",", true);
-        out += "\n";
-    }
-    return out;
-}
-
-std::string
-AuditLog::jsonArray() const
-{
-    static const char *keys[] = {
-        "phase",       "branch",     "region", "page",
-        "sharers",     "accesses",   "hiThreshold",
-        "loThreshold", "candidates", "from",   "to",
-        "reason",
-    };
-    std::string out = "[";
-    for (std::size_t i = 0; i < recs.size(); ++i) {
         const AuditRecord &r = recs[i];
-        // Field values in the same order as appendFields; strings
-        // are quoted by hand so the two serializations cannot
-        // diverge on content, only on framing.
-        std::string vals[12] = {
-            formatCount(r.phase),
-            "\"" + std::string(auditBranchName(r.branch)) + "\"",
-            formatCount(r.region),
-            formatCount(r.page),
-            formatCount(r.sharers),
-            formatCount(r.accesses),
-            formatCount(r.hiThreshold),
-            formatCount(r.loThreshold),
-            formatCount(r.candidates),
-            std::to_string(r.from),
-            std::to_string(r.to),
-            "\"" +
-                jsonEscape(auditBranchReason(r.branch)) +
-                "\"",
-        };
-        out += i ? ",\n   " : "\n   ";
-        out += "{";
-        for (int k = 0; k < 12; ++k) {
-            if (k)
-                out += ", ";
-            out += "\"" + std::string(keys[k]) + "\": " + vals[k];
-        }
-        out += "}";
+        out += run + "," + formatCount(i) + "," +
+               formatCount(r.phase) + "," +
+               auditBranchName(r.branch) + "," +
+               formatCount(r.region) + "," + formatCount(r.page) +
+               "," + formatCount(r.sharers) + "," +
+               formatCount(r.accesses) + "," +
+               formatCount(r.hiThreshold) + "," +
+               formatCount(r.loThreshold) + "," +
+               formatCount(r.candidates) + "," +
+               std::to_string(r.from) + "," + std::to_string(r.to) +
+               ",\"" + auditBranchReason(r.branch) + "\"\n";
     }
-    out += recs.empty() ? "]" : "\n  ]";
     return out;
-}
-
-AuditSink &
-AuditSink::global()
-{
-    // Leaky singleton, same shutdown contract as StatsSink.
-    static AuditSink *sink = [] {
-        auto *s = new AuditSink();
-        if (const char *path = std::getenv("STARNUMA_AUDIT_OUT")) {
-            if (path[0] != '\0') {
-                s->start(path);
-                std::atexit([] { AuditSink::global().write(); });
-            }
-        }
-        return s;
-    }();
-    return *sink;
-}
-
-void
-AuditSink::start(const std::string &path)
-{
-    MutexLock lock(mu);
-    path_ = path;
-    byRun.clear();
-    enabled_.store(true, std::memory_order_relaxed);
-}
-
-void
-AuditSink::stop()
-{
-    MutexLock lock(mu);
-    enabled_.store(false, std::memory_order_relaxed);
-    path_.clear();
-    byRun.clear();
-}
-
-void
-AuditSink::add(const std::string &run, const AuditLog &log)
-{
-    if (!enabled())
-        return;
-    MutexLock lock(mu);
-    // Double-check under the lock (see StatsSink::add).
-    if (!enabled_.load(std::memory_order_relaxed))
-        return;
-    AuditLog &slot = byRun[run];
-    for (const AuditRecord &r : log.records())
-        slot.append(r);
-}
-
-// lint: cold-path sink introspection, tests and report tooling only
-std::size_t
-AuditSink::size() const
-{
-    MutexLock lock(mu);
-    std::size_t n = 0;
-    for (const auto &[run, log] : byRun)
-        n += log.size();
-    return n;
-}
-
-std::string
-AuditSink::collectCsv() const
-{
-    MutexLock lock(mu);
-    std::string out = std::string(auditCsvHeader()) + "\n";
-    for (const auto &[run, log] : byRun)
-        out += log.csvRows(run);
-    return out;
-}
-
-std::string
-AuditSink::collectJson() const
-{
-    MutexLock lock(mu);
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[run, log] : byRun) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "  \"" + jsonEscape(run) +
-               "\": " + log.jsonArray();
-    }
-    out += first ? "}\n" : "\n}\n";
-    return out;
-}
-
-bool
-AuditSink::writeTo(const std::string &path) const
-{
-    return writeWholeFile(path, endsWith(path, ".json")
-                                    ? collectJson()
-                                    : collectCsv());
-}
-
-bool
-AuditSink::write() const
-{
-    std::string path;
-    {
-        MutexLock lock(mu);
-        if (!enabled_.load(std::memory_order_relaxed) ||
-            path_.empty())
-            return true;
-        path = path_;
-    }
-    return writeTo(path);
 }
 
 } // namespace obs

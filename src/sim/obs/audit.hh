@@ -14,23 +14,19 @@
  * scripts/starnuma_report.py explain *why* each page moved, not
  * just how many did.
  *
- * The process-wide aggregation point is AuditSink (analogue of
- * StatsSink): each experiment's log lands under its
- * "<workload>.<setup>" run key, activated by
- * STARNUMA_AUDIT_OUT=<path> (bench flag: --audit-out).
+ * The process-wide aggregation point is obs::RunSink
+ * (sim/obs/obs.hh): each experiment's log lands under its
+ * "<workload>.<setup>" run key in the run directory's audit.csv.
  */
 
 #ifndef STARNUMA_SIM_OBS_AUDIT_HH
 #define STARNUMA_SIM_OBS_AUDIT_HH
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/sync.hh"
 
 namespace starnuma
 {
@@ -74,7 +70,7 @@ struct AuditRecord
 /**
  * An append-only record list owned by one migration engine.
  * Single-threaded per owner; cross-experiment aggregation goes
- * through AuditSink.
+ * through obs::RunSink.
  */
 class AuditLog
 {
@@ -101,73 +97,12 @@ class AuditLog
      */
     std::string csvRows(const std::string &run) const;
 
-    /** JSON array of record objects (fields in CSV column order). */
-    std::string jsonArray() const;
-
   private:
     std::vector<AuditRecord> recs;
 };
 
 /** Header row matching AuditLog::csvRows. */
 const char *auditCsvHeader();
-
-/**
- * Aggregates audit logs across every experiment of the process,
- * keyed by run ("<workload>.<setup>"). Thread safe; exports sort by
- * run key and keep each run's deterministic record order, so the
- * written artifact is independent of completion order.
- */
-class AuditSink
-{
-  public:
-    /** The process-wide sink. First use auto-starts it when
-     *  STARNUMA_AUDIT_OUT is set (an atexit hook then writes the
-     *  file on shutdown). */
-    static AuditSink &global();
-
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Enable collection; write() targets @p path ("" = explicit
-     *  writeTo only). */
-    void start(const std::string &path);
-
-    /** Disable and drop everything collected so far. */
-    void stop();
-
-    /** Take @p log in under run key @p run (no-op when disabled). */
-    void add(const std::string &run, const AuditLog &log);
-
-    /** Records collected so far, over all runs. */
-    std::size_t size() const;
-
-    /** The collected logs as CSV (header + rows, runs sorted). */
-    std::string collectCsv() const;
-
-    /** The collected logs as a JSON object keyed by run. */
-    std::string collectJson() const;
-
-    /**
-     * Write the collected logs to @p path: CSV, or JSON when the
-     * path ends in ".json". @return false on IO error.
-     */
-    bool writeTo(const std::string &path) const;
-
-    /** writeTo the configured path; true when nothing to do. */
-    bool write() const;
-
-  private:
-    AuditSink() = default;
-
-    mutable Mutex mu;
-    // Same contract as StatsSink::enabled_ (see sim/obs/obs.hh).
-    std::atomic<bool> enabled_{false};
-    std::string path_ STARNUMA_GUARDED_BY(mu);
-    std::map<std::string, AuditLog> byRun STARNUMA_GUARDED_BY(mu);
-};
 
 } // namespace obs
 } // namespace starnuma

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <mutex>
+#include <system_error>
 
 #include "sim/obs/trace_session.hh"
 
@@ -24,107 +27,143 @@ writeWholeFile(const std::string &path, const std::string &content)
     return std::fclose(f) == 0 && ok;
 }
 
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::string suf(suffix);
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
 } // anonymous namespace
 
-StatsSink &
-StatsSink::global()
+RunSink &
+RunSink::global()
 {
-    // Leaky singleton: the atexit hook below must be able to run
-    // before static destruction would have torn the sink down.
-    static StatsSink *sink = [] {
-        auto *s = new StatsSink();
-        if (const char *path = std::getenv("STARNUMA_STATS_OUT")) {
-            if (path[0] != '\0') {
-                s->start(path);
-                std::atexit([] { StatsSink::global().write(); });
-            }
-        }
+    // Leaky singleton: the atexit hook must be able to run before
+    // static destruction would have torn the sink down.
+    static RunSink *sink = [] {
+        auto *s = new RunSink();
+        if (const char *dir = std::getenv("STARNUMA_OBS_DIR"))
+            if (dir[0] != '\0')
+                s->start(dir);
         return s;
     }();
     return *sink;
 }
 
 void
-StatsSink::start(const std::string &path)
+RunSink::start(const std::string &dir)
 {
-    MutexLock lock(mu);
-    path_ = path;
-    merged = Snapshot();
-    enabled_.store(true, std::memory_order_relaxed);
+    {
+        MutexLock lock(mu);
+        dir_ = dir;
+        stats_ = Snapshot();
+        series_ = TimeSeries();
+        audit_.clear();
+        enabled_.store(true, std::memory_order_relaxed);
+    }
+    TraceSession::global().start();
+    if (!dir.empty()) {
+        static std::once_flag hook;
+        std::call_once(hook, [] {
+            std::atexit([] { RunSink::global().write(); });
+        });
+    }
 }
 
 void
-StatsSink::stop()
+RunSink::stop()
 {
-    MutexLock lock(mu);
-    enabled_.store(false, std::memory_order_relaxed);
-    path_.clear();
-    merged = Snapshot();
+    {
+        MutexLock lock(mu);
+        enabled_.store(false, std::memory_order_relaxed);
+        dir_.clear();
+        stats_ = Snapshot();
+        series_ = TimeSeries();
+        audit_.clear();
+    }
+    TraceSession::global().stop();
 }
 
+// Each add double-checks under the lock: a concurrent stop() may
+// have cleared the sink between the relaxed gate and the lock, and
+// a contribution must never resurrect a stopped sink.
+
 void
-StatsSink::add(const std::string &prefix, const Snapshot &s)
+RunSink::add(const std::string &prefix, const Snapshot &s)
 {
     if (!enabled())
         return;
     MutexLock lock(mu);
-    // Double-check under the lock: a concurrent stop() may have
-    // cleared the sink between the relaxed gate above and here, and
-    // a snapshot must never resurrect a stopped sink.
+    if (enabled_.load(std::memory_order_relaxed))
+        stats_.merge(prefix, s);
+}
+
+void
+RunSink::add(const std::string &prefix, const TimeSeries &series)
+{
+    if (!enabled())
+        return;
+    MutexLock lock(mu);
+    if (enabled_.load(std::memory_order_relaxed))
+        series_.merge(prefix, series);
+}
+
+void
+RunSink::add(const std::string &run, const AuditLog &log)
+{
+    if (!enabled())
+        return;
+    MutexLock lock(mu);
     if (!enabled_.load(std::memory_order_relaxed))
         return;
-    merged.merge(prefix, s);
+    AuditLog &slot = audit_[run];
+    for (const AuditRecord &r : log.records())
+        slot.append(r);
 }
 
 Snapshot
-StatsSink::collect() const
+RunSink::stats() const
 {
     MutexLock lock(mu);
-    return merged;
+    return stats_;
+}
+
+TimeSeries
+RunSink::timeseries() const
+{
+    MutexLock lock(mu);
+    return series_;
 }
 
 std::string
-StatsSink::collectJson() const
+RunSink::auditCsv() const
 {
-    return collect().json();
+    MutexLock lock(mu);
+    std::string out = std::string(auditCsvHeader()) + "\n";
+    for (const auto &[run, log] : audit_)
+        out += log.csvRows(run);
+    return out;
 }
 
 bool
-StatsSink::writeTo(const std::string &path) const
+RunSink::write() const
 {
-    Snapshot s = collect();
-    return writeWholeFile(path,
-                          endsWith(path, ".csv") ? s.csv()
-                                                 : s.json());
-}
-
-bool
-StatsSink::write() const
-{
-    std::string path;
+    std::string dir;
     {
         MutexLock lock(mu);
         if (!enabled_.load(std::memory_order_relaxed) ||
-            path_.empty())
+            dir_.empty())
             return true;
-        path = path_;
+        dir = dir_;
     }
-    return writeTo(path);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    bool ok = writeWholeFile(dir + "/stats.json", stats().json());
+    ok = writeWholeFile(dir + "/timeseries.json",
+                        timeseries().json()) &&
+         ok;
+    ok = writeWholeFile(dir + "/audit.csv", auditCsv()) && ok;
+    return TraceSession::global().writeTo(dir + "/trace.json") && ok;
 }
 
 bool
 hostProfilingEnabled()
 {
-    return StatsSink::global().enabled() ||
-           TraceSession::global().enabled();
+    return RunSink::global().enabled();
 }
 
 } // namespace obs

@@ -109,15 +109,6 @@ Snapshot::json() const
     return out;
 }
 
-std::string
-Snapshot::csv() const
-{
-    std::string out = "stat,value\n";
-    for (const auto &[k, v] : vals)
-        out += k + "," + v + "\n";
-    return out;
-}
-
 bool
 validStatPath(const std::string &path)
 {

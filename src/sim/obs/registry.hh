@@ -4,15 +4,15 @@
  * their stats objects exactly as before (sim/stats.hh); a Registry
  * holds named *references* to them under dotted paths like
  * "socket3.dram.queueNs", and a Snapshot is the sorted, formatted
- * read-out of every registered value at one instant. Exports (JSON,
- * CSV) are byte-stable: keys are lexicographically sorted and
+ * read-out of every registered value at one instant. The JSON export
+ * is byte-stable: keys are lexicographically sorted and
  * numbers are formatted by a deterministic shortest-round-trip
  * formatter, so two bitwise-identical simulations produce
  * byte-identical artifacts regardless of the worker-pool size.
  *
  * A Registry is a per-owner, single-threaded object (one per phase
  * machine, one per trace-sim run); the process-wide aggregation
- * point is obs::StatsSink (sim/obs/obs.hh).
+ * point is obs::RunSink (sim/obs/obs.hh).
  */
 
 #ifndef STARNUMA_SIM_OBS_REGISTRY_HH
@@ -56,18 +56,6 @@ class Snapshot
     void set(const std::string &path, double v);
     void setCount(const std::string &path, std::uint64_t v);
 
-    /**
-     * Restore an already-formatted entry verbatim — the cache-hit
-     * path of the incremental sweep engine (DESIGN.md §16) rebuilds
-     * snapshots from stored artifacts, where re-formatting would be
-     * a second rounding decision. Not for live values.
-     */
-    void
-    setFormatted(const std::string &path, const std::string &value)
-    {
-        vals[path] = value;
-    }
-
     /** Copy every entry of @p other in under @p prefix. */
     void merge(const std::string &prefix, const Snapshot &other);
 
@@ -85,9 +73,6 @@ class Snapshot
 
     /** One flat JSON object, keys sorted, one entry per line. */
     std::string json() const;
-
-    /** "stat,value" CSV with a header row, keys sorted. */
-    std::string csv() const;
 
   private:
     std::map<std::string, std::string> vals;

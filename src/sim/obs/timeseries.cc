@@ -1,8 +1,6 @@
 #include "sim/obs/timeseries.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "sim/logging.hh"
 #include "sim/obs/registry.hh"
@@ -14,25 +12,6 @@ namespace obs
 
 namespace
 {
-
-bool
-writeWholeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-              content.size();
-    return std::fclose(f) == 0 && ok;
-}
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::string suf(suffix);
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
 
 /** Column pointers sorted by path: the one export order. */
 template <typename Cols>
@@ -122,17 +101,6 @@ TimeSeries::find(const std::string &path) const
 }
 
 std::string
-TimeSeries::csv() const
-{
-    std::string out = "stream,t,value\n";
-    for (const Column *c : sortedColumns(cols))
-        for (std::size_t i = 0; i < c->ts.size(); ++i)
-            out += c->path + "," + formatCount(c->ts[i]) + "," +
-                   formatNumber(c->vals[i]) + "\n";
-    return out;
-}
-
-std::string
 TimeSeries::json() const
 {
     std::string out = "{";
@@ -156,88 +124,6 @@ TimeSeries::json() const
     }
     out += first ? "}\n" : "\n}\n";
     return out;
-}
-
-TimeSeriesSink &
-TimeSeriesSink::global()
-{
-    // Leaky singleton, same shutdown contract as StatsSink: the
-    // atexit hook must be able to run before static destruction
-    // would have torn the sink down.
-    static TimeSeriesSink *sink = [] {
-        auto *s = new TimeSeriesSink();
-        if (const char *path =
-                std::getenv("STARNUMA_TIMESERIES_OUT")) {
-            if (path[0] != '\0') {
-                s->start(path);
-                std::atexit(
-                    [] { TimeSeriesSink::global().write(); });
-            }
-        }
-        return s;
-    }();
-    return *sink;
-}
-
-void
-TimeSeriesSink::start(const std::string &path)
-{
-    MutexLock lock(mu);
-    path_ = path;
-    merged = TimeSeries();
-    enabled_.store(true, std::memory_order_relaxed);
-}
-
-void
-TimeSeriesSink::stop()
-{
-    MutexLock lock(mu);
-    enabled_.store(false, std::memory_order_relaxed);
-    path_.clear();
-    merged = TimeSeries();
-}
-
-void
-TimeSeriesSink::add(const std::string &prefix,
-                    const TimeSeries &series)
-{
-    if (!enabled())
-        return;
-    MutexLock lock(mu);
-    // Double-check under the lock (see StatsSink::add): a series
-    // must never resurrect a sink a concurrent stop() cleared.
-    if (!enabled_.load(std::memory_order_relaxed))
-        return;
-    merged.merge(prefix, series);
-}
-
-TimeSeries
-TimeSeriesSink::collect() const
-{
-    MutexLock lock(mu);
-    return merged;
-}
-
-bool
-TimeSeriesSink::writeTo(const std::string &path) const
-{
-    TimeSeries s = collect();
-    return writeWholeFile(path, endsWith(path, ".csv") ? s.csv()
-                                                       : s.json());
-}
-
-bool
-TimeSeriesSink::write() const
-{
-    std::string path;
-    {
-        MutexLock lock(mu);
-        if (!enabled_.load(std::memory_order_relaxed) ||
-            path_.empty())
-            return true;
-        path = path_;
-    }
-    return writeTo(path);
 }
 
 } // namespace obs

@@ -11,24 +11,20 @@
  * numbers go through the shared shortest-round-trip formatter, so
  * artifacts are byte-identical for any STARNUMA_THREADS.
  *
- * The process-wide aggregation point is TimeSeriesSink, the exact
- * analogue of obs::StatsSink: experiments merge their series in
- * under a "<workload>.<setup>." prefix, every emission site is
- * gated on one relaxed atomic load, and the merged artifact is
- * written as sorted-key JSON (or CSV) at exit when
- * STARNUMA_TIMESERIES_OUT is set (bench flag: --timeseries-out).
+ * The process-wide aggregation point is obs::RunSink
+ * (sim/obs/obs.hh): experiments merge their series in under a
+ * "<workload>.<setup>." prefix, and the run directory's
+ * timeseries.json is the merged json().
  */
 
 #ifndef STARNUMA_SIM_OBS_TIMESERIES_HH
 #define STARNUMA_SIM_OBS_TIMESERIES_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/sync.hh"
 
 namespace starnuma
 {
@@ -39,7 +35,7 @@ namespace obs
  * A set of named per-epoch metric streams with columnar storage.
  * Single-threaded per owner (one per phase machine, one per
  * trace-sim run), like obs::Registry; cross-experiment aggregation
- * goes through TimeSeriesSink.
+ * goes through obs::RunSink.
  */
 class TimeSeries
 {
@@ -79,12 +75,6 @@ class TimeSeries
     void merge(const std::string &prefix, const TimeSeries &other);
 
     /**
-     * "stream,t,value" CSV with a header row; streams sorted by
-     * path, samples in append order.
-     */
-    std::string csv() const;
-
-    /**
      * One JSON object, keys sorted: each stream maps to
      * {"t": [...], "v": [...]} column arrays.
      */
@@ -102,62 +92,6 @@ class TimeSeries
 
     /** Columns in registration order; exports sort by path. */
     std::vector<Column> cols;
-};
-
-/**
- * Aggregates deterministic time series across every experiment of
- * the process. Thread safe: concurrent sweep entries merge their
- * series under distinct prefixes and exports sort by stream path,
- * so the written artifact is independent of completion order.
- */
-class TimeSeriesSink
-{
-  public:
-    /** The process-wide sink. First use auto-starts it when
-     *  STARNUMA_TIMESERIES_OUT is set (an atexit hook then writes
-     *  the file on shutdown). */
-    static TimeSeriesSink &global();
-
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Enable collection; write() targets @p path ("" = explicit
-     *  writeTo only). */
-    void start(const std::string &path);
-
-    /** Disable and drop everything collected so far. */
-    void stop();
-
-    /** Merge @p series in under @p prefix (no-op when disabled). */
-    void add(const std::string &prefix, const TimeSeries &series);
-
-    /** Copy of everything collected so far. */
-    TimeSeries collect() const;
-
-    /**
-     * Write the collected series to @p path: JSON, or CSV when the
-     * path ends in ".csv". @return false on IO error.
-     */
-    bool writeTo(const std::string &path) const;
-
-    /** writeTo the configured path; true when nothing to do. */
-    bool write() const;
-
-  private:
-    TimeSeriesSink() = default;
-
-    mutable Mutex mu;
-    // Same contract as StatsSink::enabled_: a pure emission gate
-    // read with one relaxed load per would-be emission; all data it
-    // gates is accessed under mu, and add() re-checks under the
-    // lock so a series never lands in a sink stop() already
-    // cleared.
-    std::atomic<bool> enabled_{false};
-    std::string path_ STARNUMA_GUARDED_BY(mu);
-    TimeSeries merged STARNUMA_GUARDED_BY(mu);
 };
 
 } // namespace obs

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/obs/registry.hh"
 #include "sim/parallel.hh"
@@ -94,25 +93,15 @@ TraceArgs::str() const
 TraceSession &
 TraceSession::global()
 {
-    // Leaky singleton (see StatsSink::global for the rationale).
-    static TraceSession *session = [] {
-        auto *s = new TraceSession();
-        if (const char *path = std::getenv("STARNUMA_TRACE_OUT")) {
-            if (path[0] != '\0') {
-                s->start(path);
-                std::atexit([] { TraceSession::global().write(); });
-            }
-        }
-        return s;
-    }();
+    // Leaky singleton (see RunSink::global for the rationale).
+    static TraceSession *session = new TraceSession();
     return *session;
 }
 
 void
-TraceSession::start(const std::string &path)
+TraceSession::start()
 {
     MutexLock lock(mu);
-    path_ = path;
     events.clear();
     epochNs.store(steadyNowNs(), std::memory_order_relaxed);
     enabled_.store(true, std::memory_order_relaxed);
@@ -129,7 +118,6 @@ TraceSession::stop()
 {
     MutexLock lock(mu);
     enabled_.store(false, std::memory_order_relaxed);
-    path_.clear();
     events.clear();
 }
 
@@ -283,20 +271,6 @@ TraceSession::writeTo(const std::string &path)
     bool ok =
         std::fwrite(out.data(), 1, out.size(), f) == out.size();
     return std::fclose(f) == 0 && ok;
-}
-
-bool
-TraceSession::write()
-{
-    std::string path;
-    {
-        MutexLock lock(mu);
-        if (!enabled_.load(std::memory_order_relaxed) ||
-            path_.empty())
-            return true;
-        path = path_;
-    }
-    return writeTo(path);
 }
 
 TraceSpan::TraceSpan(std::string name, const char *cat,

@@ -15,10 +15,12 @@
  *                     per phase — link utilization and DRAM queue
  *                     depth per pacer epoch.
  *
- * Off by default; every emission site guards on enabled() (a
- * relaxed atomic load), so a build without STARNUMA_TRACE_OUT pays
- * one branch per would-be event. Timestamps are wall clock only
- * inside this file — they never reach simulation results.
+ * Off by default; obs::RunSink (sim/obs/obs.hh) starts, stops and
+ * writes the session as the run directory's trace.json. Every
+ * emission site guards on enabled() (a relaxed atomic load), so an
+ * unobserved run pays one branch per would-be event. Timestamps are
+ * wall clock only inside this file — they never reach simulation
+ * results.
  */
 
 #ifndef STARNUMA_SIM_OBS_TRACE_SESSION_HH
@@ -66,10 +68,6 @@ class TraceArgs
 class TraceSession
 {
   public:
-    /**
-     * First use auto-starts the session when STARNUMA_TRACE_OUT is
-     * set (an atexit hook writes the file on shutdown).
-     */
     static TraceSession &global();
 
     bool
@@ -77,13 +75,6 @@ class TraceSession
     {
         return enabled_.load(std::memory_order_relaxed);
     }
-
-    /** Enable tracing; write() targets @p path ("" = explicit
-     *  writeTo only). Clears any buffered events. */
-    void start(const std::string &path);
-
-    /** Disable and drop buffered events. */
-    void stop();
 
     /** Microseconds of wall clock since start(). */
     double nowUs() const;
@@ -119,6 +110,19 @@ class TraceSession
     /** Events buffered so far. */
     std::size_t eventCount() const;
 
+  private:
+    // The run sink is the one switch: only it starts, stops and
+    // writes the session.
+    friend class RunSink;
+
+    TraceSession() = default;
+
+    /** Enable tracing; clears any buffered events. */
+    void start();
+
+    /** Disable and drop buffered events. */
+    void stop();
+
     /**
      * Write {"traceEvents":[...]} to @p path, appending a final
      * thread-pool profile counter when the pool exists.
@@ -126,21 +130,14 @@ class TraceSession
      */
     bool writeTo(const std::string &path);
 
-    /** writeTo the configured path; true when nothing to do. */
-    bool write();
-
-  private:
-    TraceSession() = default;
-
     void push(std::string event);
     void appendPoolProfile();
 
     mutable Mutex mu;
-    // Same relaxed-gate pattern as StatsSink::enabled_ (obs.hh):
-    // one relaxed load per would-be event; the buffer and path are
-    // protected by mu, and push() re-checks under the lock.
+    // Same relaxed-gate pattern as RunSink::enabled_ (obs.hh):
+    // one relaxed load per would-be event; the buffer is protected
+    // by mu, and push() re-checks under the lock.
     std::atomic<bool> enabled_{false};
-    std::string path_ STARNUMA_GUARDED_BY(mu);
     // Written by start() and read lock-free by every nowUs() call;
     // relaxed is fine because timestamps are host-domain
     // diagnostics: a racing start() can only skew the very first

@@ -1,25 +1,29 @@
 /**
  * @file
  * Observability subsystem tests: deterministic number formatting,
- * snapshot JSON/CSV goldens, registry registration/expansion and
- * duplicate-path panics, the StatsSink byte-stability guarantee
- * (identical artifact for pool sizes 1/4/8), a trace smoke test
- * (events well-formed, file structure valid), and the thread-pool
- * self-profiling registry.
+ * the snapshot JSON golden, registry registration/expansion and
+ * duplicate-path panics, the run sink (one switch for every
+ * channel, the four-file run directory, and its byte-stability for
+ * pool sizes 1/4/8), a trace smoke test (events well-formed, file
+ * structure valid), and the thread-pool self-profiling registry.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver/experiment.hh"
+#include "sim/obs/audit.hh"
 #include "sim/obs/obs.hh"
 #include "sim/obs/registry.hh"
+#include "sim/obs/timeseries.hh"
 #include "sim/obs/trace_session.hh"
 #include "sim/parallel.hh"
 #include "sim/stats.hh"
@@ -70,17 +74,6 @@ TEST(ObsSnapshot, JsonGoldenSortedAndStable)
               "  \"b.count\": 3,\n"
               "  \"c.mean\": 12\n"
               "}\n");
-}
-
-TEST(ObsSnapshot, CsvGoldenSortedAndStable)
-{
-    obs::Snapshot s;
-    s.setCount("z.hits", 9);
-    s.set("a.util", 0.25);
-    EXPECT_EQ(s.csv(),
-              "stat,value\n"
-              "a.util,0.25\n"
-              "z.hits,9\n");
 }
 
 TEST(ObsSnapshot, MergePrefixesAndGet)
@@ -154,77 +147,125 @@ TEST(ObsRegistryDeathTest, MalformedPathPanics)
     EXPECT_DEATH(r.addCounter("bad path", &v), "assertion");
 }
 
-// --- StatsSink determinism across pool sizes ---
+// --- the run sink ---
+
+/** Whole contents of @p path ("" when it cannot be read). */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
 
 TEST(ObsSink, DisabledByDefaultAndDropsWhenStopped)
 {
-    obs::StatsSink &sink = obs::StatsSink::global();
+    obs::RunSink &sink = obs::RunSink::global();
     ASSERT_FALSE(sink.enabled());
+    ASSERT_FALSE(obs::hostProfilingEnabled());
+    ASSERT_FALSE(obs::TraceSession::global().enabled());
 
     obs::Snapshot s;
     s.setCount("x", 1);
     sink.add("pre.", s); // disabled: no-op
-    EXPECT_TRUE(sink.collect().empty());
+    EXPECT_TRUE(sink.stats().empty());
 
+    // One switch turns every channel on, the trace included. The
+    // time-series and audit channels are covered in
+    // timeseries_test.cc.
     sink.start("");
+    EXPECT_TRUE(obs::hostProfilingEnabled());
+    EXPECT_TRUE(obs::TraceSession::global().enabled());
     sink.add("on.", s);
-    EXPECT_EQ(sink.collect().get("on.x"), "1");
+    EXPECT_EQ(sink.stats().get("on.x"), "1");
+    EXPECT_TRUE(sink.write()); // no directory: nothing to do
+
     sink.stop();
     EXPECT_FALSE(sink.enabled());
-    EXPECT_TRUE(sink.collect().empty());
+    EXPECT_FALSE(obs::TraceSession::global().enabled());
+    EXPECT_TRUE(sink.stats().empty());
 }
 
+/**
+ * write() creates the run directory (parents included) and fills it
+ * with exactly the four fixed-name files.
+ */
+TEST(ObsSink, WriteCreatesExactlyTheFourFiles)
+{
+    namespace fs = std::filesystem;
+    fs::path root = fs::path(testing::TempDir()) / "starnuma_obs_run";
+    fs::remove_all(root);
+    fs::path dir = root / "nested";
+
+    obs::RunSink &sink = obs::RunSink::global();
+    sink.start(dir.string());
+    obs::Snapshot s;
+    s.setCount("hits", 2);
+    sink.add("t.", s);
+    ASSERT_TRUE(sink.write());
+    sink.stop();
+
+    std::set<std::string> files;
+    for (const auto &entry : fs::directory_iterator(dir))
+        files.insert(entry.path().filename().string());
+    EXPECT_EQ(files,
+              (std::set<std::string>{"audit.csv", "stats.json",
+                                     "timeseries.json",
+                                     "trace.json"}));
+    EXPECT_EQ(readFile((dir / "stats.json").string()),
+              "{\n  \"t.hits\": 2\n}\n");
+    EXPECT_EQ(readFile((dir / "timeseries.json").string()), "{}\n");
+    EXPECT_EQ(readFile((dir / "audit.csv").string()),
+              std::string(obs::auditCsvHeader()) + "\n");
+    fs::remove_all(root);
+}
+
+/**
+ * The run directory's stats.json of a full StarNUMA experiment is
+ * byte-identical for pool sizes 1, 4 and 8 (timeseries.json and
+ * audit.csv: timeseries_test.cc).
+ */
 TEST(ObsSink, StatsArtifactByteIdenticalAcrossPoolSizes)
 {
+    namespace fs = std::filesystem;
     SimScale s = SimScale::tiny();
-    obs::StatsSink &sink = obs::StatsSink::global();
+    obs::RunSink &sink = obs::RunSink::global();
+    fs::path root = fs::path(testing::TempDir()) / "starnuma_obs_pools";
 
     auto run_collect = [&](int pool_size) {
         ThreadPool::setGlobalThreads(pool_size);
-        sink.start("");
+        fs::path dir = root / std::to_string(pool_size);
+        sink.start(dir.string());
         driver::runExperiment(
             "bfs", driver::SystemSetup::starnuma(), s);
-        std::string json = sink.collectJson();
+        EXPECT_TRUE(sink.write());
         sink.stop();
-        return json;
+        return readFile((dir / "stats.json").string());
     };
 
     std::string serial = run_collect(1);
-    EXPECT_GT(serial.size(), 2u);
+    EXPECT_NE(serial.find("bfs.starnuma-t16.summary."),
+              std::string::npos);
     for (int pool_size : {4, 8}) {
         SCOPED_TRACE("pool=" + std::to_string(pool_size));
         EXPECT_EQ(run_collect(pool_size), serial);
     }
     ThreadPool::setGlobalThreads(0);
-}
-
-TEST(ObsSink, CsvExportMatchesJsonContent)
-{
-    obs::StatsSink &sink = obs::StatsSink::global();
-    sink.start("");
-    obs::Snapshot s;
-    s.setCount("hits", 2);
-    sink.add("t.", s);
-
-    std::string csv_path =
-        testing::TempDir() + "/starnuma_obs_test.csv";
-    ASSERT_TRUE(sink.writeTo(csv_path));
-    sink.stop();
-
-    std::ifstream in(csv_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), "stat,value\nt.hits,2\n");
-    std::remove(csv_path.c_str());
+    fs::remove_all(root);
 }
 
 // --- trace smoke test ---
 
 TEST(ObsTrace, SmokeFileWellFormed)
 {
+    namespace fs = std::filesystem;
+    obs::RunSink &sink = obs::RunSink::global();
     obs::TraceSession &trace = obs::TraceSession::global();
     ASSERT_FALSE(trace.enabled());
-    trace.start("");
+    fs::path dir = fs::path(testing::TempDir()) / "starnuma_obs_trace";
+    fs::remove_all(dir);
+    sink.start(dir.string());
 
     {
         obs::TraceSpan span(
@@ -241,17 +282,12 @@ TEST(ObsTrace, SmokeFileWellFormed)
                           s);
     EXPECT_GT(trace.eventCount(), 4u);
 
-    std::string path =
-        testing::TempDir() + "/starnuma_obs_test_trace.json";
-    ASSERT_TRUE(trace.writeTo(path));
-    trace.stop();
+    ASSERT_TRUE(sink.write());
+    sink.stop();
     ASSERT_FALSE(trace.enabled());
 
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-    std::remove(path.c_str());
+    std::string text = readFile((dir / "trace.json").string());
+    fs::remove_all(dir);
 
     // File structure: one traceEvents array, ms display unit.
     EXPECT_EQ(text.rfind("{\"traceEvents\":[", 0), 0u);

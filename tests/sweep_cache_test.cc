@@ -6,8 +6,9 @@
  * differential re-simulation from the first divergent phase, the
  * corruption contract at the experiment tier (a damaged stored
  * bundle demotes to recomputation with identical artifacts), the
- * one code epoch shared by every key, the store audit, and that
- * with the store disabled nothing reaches the disk.
+ * one code epoch shared by every key, the store audit, that an
+ * observed run skips the experiment tier, and that with the store
+ * disabled nothing reaches the disk.
  */
 
 #include <gtest/gtest.h>
@@ -105,7 +106,7 @@ TEST(CacheKey, TraceKeyPerturbation)
     driver::SystemSetup setup = driver::SystemSetup::starnuma();
     for (const std::string &key :
          {base, driver::stateKeyText("bfs", setup, s, fakeContent(), 1),
-          driver::resultKeyText("bfs", setup, s, fakeContent(), false)})
+          driver::resultKeyText("bfs", setup, s, fakeContent())})
         EXPECT_EQ(driver::keyField(key, "code.epoch"), epoch) << key;
 }
 
@@ -114,31 +115,29 @@ TEST(CacheKey, ResultKeyPerturbation)
     SimScale s = SimScale::tiny();
     driver::SystemSetup setup = driver::SystemSetup::starnuma();
     std::string base = driver::resultKeyText("bfs", setup, s,
-                                             fakeContent(), false);
+                                             fakeContent());
     EXPECT_EQ(base, driver::resultKeyText("bfs", setup, s,
-                                          fakeContent(), false));
+                                          fakeContent()));
 
     // Each declared input moves the key.
     EXPECT_NE(base, driver::resultKeyText("tc", setup, s,
-                                          fakeContent(), false));
+                                          fakeContent()));
     EXPECT_NE(base, driver::resultKeyText(
                         "bfs", setup, s,
-                        cas::hashString("other-trace"), false));
-    EXPECT_NE(base, driver::resultKeyText("bfs", setup, s,
-                                          fakeContent(), true));
+                        cas::hashString("other-trace")));
 
     driver::SystemSetup pol = setup;
     pol.migration.hiThresholdStart += 1;
     EXPECT_NE(base, driver::resultKeyText("bfs", pol, s,
-                                          fakeContent(), false));
+                                          fakeContent()));
     driver::SystemSetup topo = setup;
     topo.sys.cxlOneWayNs += 1.0;
     EXPECT_NE(base, driver::resultKeyText("bfs", topo, s,
-                                          fakeContent(), false));
+                                          fakeContent()));
     driver::SystemSetup sched = setup;
     sched.phasePolicies.push_back({1, 0.5, 4});
     EXPECT_NE(base, driver::resultKeyText("bfs", sched, s,
-                                          fakeContent(), false));
+                                          fakeContent()));
 }
 
 /**
@@ -349,6 +348,38 @@ TEST(CacheAudit, CountsAndDropsBadObjects)
 
     EXPECT_EQ(driver::auditStore(store, false, 0).ok, 1u);
     EXPECT_TRUE(store.listObjects().empty());
+}
+
+/**
+ * An observed run skips the experiment tier and the step-B hooks:
+ * with a store it writes no experiment_result or step_b_state
+ * object, and its stats equal those of a store-less observed run.
+ */
+TEST(SweepCache, ObservedRunSkipsExperimentTier)
+{
+    SimScale s = SimScale::tiny();
+    driver::SystemSetup setup = driver::SystemSetup::starnuma();
+    obs::RunSink &sink = obs::RunSink::global();
+
+    sink.start("");
+    driver::runExperiment("tc", setup, s);
+    const std::string plain = sink.stats().json();
+    sink.stop();
+
+    ScopedCache cache_dir("sweep_cache_observed");
+    driver::ArtifactCache &cache = driver::ArtifactCache::global();
+    sink.start("");
+    driver::runExperiment("tc", setup, s);
+    const std::string stored = sink.stats().json();
+    sink.stop();
+
+    EXPECT_EQ(stored, plain);
+    EXPECT_EQ(cache.resultHits() + cache.resultMisses(), 0u);
+    EXPECT_EQ(cache.partialHits(), 0u);
+    for (const auto &o : driver::auditStore(*cache.store()).objects) {
+        EXPECT_NE(o.kind, "experiment_result") << o.rel;
+        EXPECT_NE(o.kind, "step_b_state") << o.rel;
+    }
 }
 
 TEST(SweepCache, TraceTierCountsCaptures)

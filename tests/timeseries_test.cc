@@ -2,19 +2,23 @@
  * @file
  * Time-series telemetry and migration audit log tests (DESIGN.md
  * §14): columnar TimeSeries storage and lastValue single-sourcing,
- * CSV/JSON export goldens, duplicate/malformed stream-path panics,
- * AuditLog serialization (branch vocabulary, CSV/JSON framing), and
- * the sink byte-stability guarantee — both deterministic artifacts
- * are byte-identical for thread-pool sizes 1/4/8.
+ * the JSON export golden, duplicate/malformed stream-path panics,
+ * AuditLog serialization (branch vocabulary, CSV rows), and the run
+ * sink's time-series and audit channels: off by default, and
+ * timeseries.json / audit.csv byte-identical for pool sizes 1/4/8.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "driver/experiment.hh"
 #include "sim/obs/audit.hh"
+#include "sim/obs/obs.hh"
 #include "sim/obs/timeseries.hh"
 #include "sim/parallel.hh"
 
@@ -51,34 +55,22 @@ TEST(TimeSeries, SampleAndLastValue)
     EXPECT_EQ(ts.samples(a), 66u);
 }
 
-TEST(TimeSeries, CsvGoldenSortedByPath)
-{
-    obs::TimeSeries ts;
-    obs::TimeSeries::StreamId z = ts.addStream("z.late");
-    obs::TimeSeries::StreamId a = ts.addStream("a.early");
-    ts.sample(z, 1, 2.0);
-    ts.sample(a, 1, 0.5);
-    ts.sample(a, 2, 3.0);
-    // Streams sort lexicographically regardless of registration
-    // order; whole numbers print without a fraction.
-    EXPECT_EQ(ts.csv(),
-              "stream,t,value\n"
-              "a.early,1,0.5\n"
-              "a.early,2,3\n"
-              "z.late,1,2\n");
-}
-
 TEST(TimeSeries, JsonGoldenColumnArrays)
 {
     obs::TimeSeries ts;
     EXPECT_EQ(ts.json(), "{}\n");
+    obs::TimeSeries::StreamId z = ts.addStream("z.late");
     obs::TimeSeries::StreamId a = ts.addStream("a.b");
+    ts.sample(z, 1, 2.0);
     ts.sample(a, 2000, 0.25);
     ts.sample(a, 22000, 4.0);
+    // Streams sort lexicographically regardless of registration
+    // order; whole numbers print without a fraction.
     EXPECT_EQ(ts.json(),
               "{\n"
               "  \"a.b\": {\"t\": [2000,22000], "
-              "\"v\": [0.25,4]}\n"
+              "\"v\": [0.25,4]},\n"
+              "  \"z.late\": {\"t\": [1], \"v\": [2]}\n"
               "}\n");
 }
 
@@ -91,9 +83,11 @@ TEST(TimeSeries, MergePrefixesStreams)
     obs::TimeSeries outer;
     outer.merge("bfs.starnuma.timing.", inner);
     EXPECT_EQ(outer.streams(), 1u);
-    EXPECT_EQ(outer.csv(),
-              "stream,t,value\n"
-              "bfs.starnuma.timing.dram.requests,2000,9\n");
+    EXPECT_EQ(outer.json(),
+              "{\n"
+              "  \"bfs.starnuma.timing.dram.requests\": "
+              "{\"t\": [2000], \"v\": [9]}\n"
+              "}\n");
 }
 
 TEST(TimeSeriesDeathTest, DuplicateStreamPathPanics)
@@ -162,40 +156,60 @@ TEST(AuditLog, CsvRowsGolden)
     EXPECT_EQ(log.csvRows("bfs.starnuma"),
               "bfs.starnuma,0,3,toPool,7,448,4,90,64,8,12,1,4,"
               "\"sharers reached the pool threshold\"\n");
-    std::string json = log.jsonArray();
-    EXPECT_NE(json.find("\"branch\": \"toPool\""),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"candidates\": 12"), std::string::npos)
-        << json;
 }
 
-// --- sink byte-stability across pool sizes ---
+
+// --- the run sink's time-series and audit channels ---
 
 TEST(TimeSeriesSink, DisabledByDefaultAndDropsWhenStopped)
 {
-    obs::TimeSeriesSink &sink = obs::TimeSeriesSink::global();
+    obs::RunSink &sink = obs::RunSink::global();
     ASSERT_FALSE(sink.enabled());
 
     obs::TimeSeries ts;
-    obs::TimeSeries::StreamId s = ts.addStream("a.b");
-    ts.sample(s, 1, 1.0);
+    ts.sample(ts.addStream("a.b"), 1, 1.0);
+    obs::AuditLog log;
+    log.append(obs::AuditRecord());
+    const std::string no_audit = std::string(obs::auditCsvHeader()) +
+                                 "\n";
+
     sink.add("pre.", ts); // disabled: no-op
-    EXPECT_TRUE(sink.collect().empty());
+    sink.add("pre", log);
+    EXPECT_TRUE(sink.timeseries().empty());
+    EXPECT_EQ(sink.auditCsv(), no_audit);
 
     sink.start("");
     sink.add("on.", ts);
-    EXPECT_EQ(sink.collect().streams(), 1u);
+    sink.add("on", log);
+    EXPECT_EQ(sink.timeseries().streams(), 1u);
+    EXPECT_NE(sink.auditCsv().find("\non,0,"), std::string::npos);
     sink.stop();
     EXPECT_FALSE(sink.enabled());
-    EXPECT_TRUE(sink.collect().empty());
+    EXPECT_TRUE(sink.timeseries().empty());
+    EXPECT_EQ(sink.auditCsv(), no_audit);
 }
 
+/** Whole contents of @p path ("" when it cannot be read). */
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/**
+ * The run directory's timeseries.json and audit.csv of a full
+ * StarNUMA experiment are byte-identical for pool sizes 1, 4 and 8
+ * (stats.json: obs_test.cc).
+ */
 TEST(TimeSeriesSink, ArtifactsByteIdenticalAcrossPoolSizes)
 {
+    namespace fs = std::filesystem;
     SimScale s = SimScale::tiny();
-    obs::TimeSeriesSink &ts_sink = obs::TimeSeriesSink::global();
-    obs::AuditSink &audit_sink = obs::AuditSink::global();
+    obs::RunSink &sink = obs::RunSink::global();
+    fs::path root = fs::path(testing::TempDir()) / "starnuma_ts_pools";
 
     struct Artifacts
     {
@@ -204,19 +218,19 @@ TEST(TimeSeriesSink, ArtifactsByteIdenticalAcrossPoolSizes)
     };
     auto run_collect = [&](int pool_size) {
         ThreadPool::setGlobalThreads(pool_size);
-        ts_sink.start("");
-        audit_sink.start("");
+        fs::path dir = root / std::to_string(pool_size);
+        sink.start(dir.string());
         driver::runExperiment(
             "bfs", driver::SystemSetup::starnuma(), s);
-        Artifacts a{ts_sink.collect().json(),
-                    audit_sink.collectCsv()};
-        ts_sink.stop();
-        audit_sink.stop();
-        return a;
+        EXPECT_TRUE(sink.write());
+        sink.stop();
+        return Artifacts{readFile(dir / "timeseries.json"),
+                         readFile(dir / "audit.csv")};
     };
 
     Artifacts serial = run_collect(1);
-    EXPECT_GT(serial.series.size(), 3u);
+    EXPECT_NE(serial.series.find("bfs.starnuma-t16.timing.phase"),
+              std::string::npos);
     EXPECT_NE(serial.audit.find("toPool"), std::string::npos);
     for (int pool_size : {4, 8}) {
         SCOPED_TRACE("pool=" + std::to_string(pool_size));
@@ -225,6 +239,7 @@ TEST(TimeSeriesSink, ArtifactsByteIdenticalAcrossPoolSizes)
         EXPECT_EQ(a.audit, serial.audit);
     }
     ThreadPool::setGlobalThreads(0);
+    fs::remove_all(root);
 }
 
 } // namespace
