@@ -134,8 +134,8 @@ LAYER_ALLOWED = {
     "topology": ("topology", "sim"),
     "mem": ("mem", "sim", "topology"),
     "core": ("core", "sim", "mem", "topology"),
-    "trace": ("trace", "sim", "mem"),
-    "workloads": ("workloads", "sim", "trace", "mem"),
+    "trace": ("trace", "sim"),
+    "workloads": ("workloads", "sim", "trace"),
     "analytic": ("analytic", "sim", "topology"),
     "driver": ("driver", "sim", "topology", "mem", "core", "trace",
                "workloads", "analytic"),

@@ -32,7 +32,7 @@ namespace
  * leaving the memo lock free, so concurrent misses on *different*
  * keys capture in parallel and concurrent misses on the *same* key
  * run exactly one capture with everyone sharing the result.
- * The content hash (over the canonical columnar v2 encoding, the
+ * The content hash (over the canonical columnar v3 encoding, the
  * byte image the artifact store holds) is computed lazily behind
  * its own once_flag: it is only needed when the artifact cache is
  * enabled, and step-B/result cache keys embed it as trace.content.
@@ -74,7 +74,7 @@ std::atomic<std::uint64_t> traceCaptures{0};
 
 /**
  * Memo lookup + capture-or-fetch. With the artifact store enabled
- * the capture tier becomes: fetch the columnar v2 bytes by cache
+ * the capture tier becomes: fetch the columnar v3 bytes by cache
  * key (decode verifies on top of the store's content hash), and on
  * a miss capture as before and persist the encoding — so a warm
  * process never replays workload setup code at all.

@@ -109,7 +109,7 @@ constexpr Leg legPlan[accessTypes][6] = {
 struct Miss
 {
     std::uint64_t instr;
-    Addr vaddr;
+    Addr block; ///< block-aligned address
     Cycles issued;
     std::uint32_t core;
     bool write;
@@ -249,9 +249,9 @@ class PhaseSim
   private:
     struct CoreState
     {
-        ThreadId thread = 0;
         NodeId socket = 0;
         bool detailed = false;
+        const trace::MemRecord *recs = nullptr; ///< the thread's trace
         std::size_t idx = 0; ///< next record
         std::size_t end = 0;
         std::uint64_t lastInstr = 0;
@@ -280,8 +280,9 @@ class PhaseSim
     bool allDetailedDone() const;
 
     // --- memory system (asynchronous request path) ---
-    /** Start a miss's journey; completion is an event at 'done'. */
-    void startMiss(CoreState &c, Addr vaddr, bool write,
+    /** Start a miss on block address @p block; completion is an
+     *  event at 'done'. */
+    void startMiss(CoreState &c, Addr block, bool write,
                    std::uint64_t instr, bool count_stats);
     /** Resolve the miss's home and coherence, pick its path. */
     void routeMiss(std::uint32_t slot);
@@ -391,7 +392,6 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
     for (ThreadId t = 0; t < static_cast<ThreadId>(cores.size());
          ++t) {
         CoreState &c = cores[t];
-        c.thread = t;
         c.socket = t / scale.coresPerSocket;
         c.detailed = (c.socket == 0);
         c.mshr = arena.allocArray<Outstanding>(
@@ -407,6 +407,7 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
         c.end = std::lower_bound(recs.begin(), recs.end(), windowEnd,
                                  below) -
                 recs.begin();
+        c.recs = recs.data();
         c.lastInstr = windowStart;
     }
 
@@ -580,20 +581,20 @@ PhaseSim::applyMigration(PageNum first_page, int pages_n, NodeId from,
 // --- memory system ---
 
 void
-PhaseSim::startMiss(CoreState &c, Addr vaddr, bool write,
+PhaseSim::startMiss(CoreState &c, Addr block, bool write,
                     std::uint64_t instr, bool count_stats)
 {
     Cycles t = q.now();
     std::uint32_t slot = misses.allocate();
     misses[slot] = {.instr = instr,
-                    .vaddr = vaddr,
+                    .block = block,
                     .issued = t,
                     .core = static_cast<std::uint32_t>(&c - cores.data()),
                     .write = write,
                     .countStats = count_stats};
 
     // Stall while the page's migration is in flight.
-    auto mig = migrating.find(pageNumber(vaddr));
+    auto mig = migrating.find(pageNumber(block));
     if (mig != migrating.end()) {
         if (mig->second > t) {
             Cycles resume = mig->second;
@@ -614,8 +615,8 @@ PhaseSim::routeMiss(std::uint32_t slot)
     Miss &m = misses[slot];
     Cycles t = q.now();
     NodeId s = cores[m.core].socket;
-    Addr block = blockAddr(m.vaddr);
-    PageNum page = pageNumber(m.vaddr);
+    Addr block = m.block;
+    PageNum page = pageNumber(block);
 
     NodeId home =
         options.singleSocketLocal ? s : pages.touch(page, s);
@@ -684,8 +685,7 @@ PhaseSim::stepMiss(std::uint32_t slot)
     Leg leg = legPlan[static_cast<int>(m.type)][m.leg++];
     switch (leg) {
       case Leg::Dram:
-        next = dramAccess(m.route[m.at], t + onChip,
-                          blockAddr(m.vaddr));
+        next = dramAccess(m.route[m.at], t + onChip, m.block);
         break;
       case Leg::Ctrl:
       case Leg::Data:
@@ -788,7 +788,9 @@ PhaseSim::issueNext(CoreState &c)
         return;
     }
 
-    const trace::MemRecord &r = trace.perThread[c.thread][c.idx];
+    const trace::MemRecord r = c.recs[c.idx];
+    const Addr block = r.vaddr();
+    const bool write = r.isWrite();
     if (frontBlocks(c, r.instr)) {
         c.blocked = true;
         return;
@@ -808,14 +810,13 @@ PhaseSim::issueNext(CoreState &c)
     // LLC lookup happens inline; only misses travel.
     NodeId s = c.socket;
     mem::Cache &llc = llcs[s];
-    auto look = llc.access(r.vaddr(), r.isWrite());
+    auto look = llc.access(block, write);
     ++c.idx;
     std::uint64_t this_instr = r.instr;
 
     // Compute-pace the next issue.
     std::uint64_t next_instr =
-        c.idx < c.end ? trace.perThread[c.thread][c.idx].instr
-                      : windowEnd;
+        c.idx < c.end ? c.recs[c.idx].instr : windowEnd;
     std::uint64_t gap =
         next_instr > this_instr ? next_instr - this_instr : 1;
     double cpi = c.detailed ? core.baseCpi : lightCpi;
@@ -853,12 +854,12 @@ PhaseSim::issueNext(CoreState &c)
     }
     // Tracker metadata update traffic (StarNUMA only).
     if (setup.sys.hasPool && (missCount % metadataWritePeriod) == 0)
-        dramAccess(s, t, blockAddr(r.vaddr()) ^ 0x3c3cc3c3);
+        dramAccess(s, t, block ^ 0x3c3cc3c3);
 
     sn_assert(c.inFlight < static_cast<std::uint32_t>(core.mshrs),
               "MSHR overflow");
     c.mshr[c.inFlight++] = Outstanding{this_instr, false};
-    startMiss(c, r.vaddr(), r.isWrite(), this_instr, count_stats);
+    startMiss(c, block, write, this_instr, count_stats);
     scheduleIssue(c, c.readyTime);
 }
 
@@ -993,10 +994,10 @@ PhaseSim::run()
                 c.done = true;
             continue;
         }
-        const trace::MemRecord &r = trace.perThread[c.thread][c.idx];
         double cpi = c.detailed ? core.baseCpi : lightCpi;
         c.readyTime = Cycles(
-            static_cast<double>(r.instr - windowStart) * cpi);
+            static_cast<double>(c.recs[c.idx].instr - windowStart) *
+            cpi);
         scheduleIssue(c, c.readyTime);
     }
     q.scheduleAfter(Cycles(2000), {.kind = EventKind::Pace});

@@ -8,20 +8,20 @@ namespace starnuma
 namespace trace
 {
 
-CaptureFilter::CaptureFilter(const mem::CacheConfig &config)
-    : ways(config.ways)
+CaptureFilter::CaptureFilter(const FilterGeometry &geometry)
+    : ways(geometry.ways)
 {
-    sn_assert(config.ways > 0 && config.sizeBytes >= blockBytes,
+    sn_assert(geometry.ways > 0 && geometry.sizeBytes >= blockBytes,
               "bad cache geometry");
     // mem::Cache's set count: rounded up to a power of two, >= 1.
     std::uint32_t n = 1;
-    while (n < config.sizeBytes / (blockBytes * config.ways))
+    while (n < geometry.sizeBytes / (blockBytes * geometry.ways))
         n <<= 1;
     setMask = n - 1;
     tags.assign(static_cast<std::size_t>(n) * ways, emptyTag);
 }
 
-CaptureContext::CaptureContext(int threads, mem::CacheConfig filter)
+CaptureContext::CaptureContext(int threads, FilterGeometry filter)
     : nextAddr(baseAddr), inSetup(false)
 {
     sn_assert(threads > 0, "capture needs at least one thread");
@@ -35,8 +35,8 @@ CaptureContext::alloc(Addr bytes)
 {
     Addr base = nextAddr;
     nextAddr += pagesCovering(bytes) * pageBytes;
-    // The filters keep u32 block numbers (CaptureFilter::emptyTag).
-    sn_assert(nextAddr / blockBytes < CaptureFilter::emptyTag,
+    // Records and filters keep 31-bit block numbers (MemRecord).
+    sn_assert(nextAddr / blockBytes < MemRecord::writeBit,
               "simulated address space exhausted");
     std::size_t words = (pagesCovering(footprint()) + 63) / 64;
     written.resize(words, 0);
@@ -76,8 +76,14 @@ CaptureContext::take(const std::string &workload,
             t.writtenPages.push_back(
                 PageNum(first + w * 64 + std::countr_zero(bits)));
     t.perThread.reserve(state.size());
-    for (auto &ts : state)
+    for (auto &ts : state) {
+        // Records hold u32 counts (MemRecord); Workload::capture
+        // bounds the run, this catches any other caller.
+        sn_assert(ts.instructions <= MemRecord::maxInstr,
+                  "instruction count %llu overflows a trace record",
+                  static_cast<unsigned long long>(ts.instructions));
         t.perThread.push_back(std::move(ts.records));
+    }
     return t;
 }
 

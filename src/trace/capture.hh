@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "mem/cache.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
@@ -38,18 +37,30 @@ namespace trace
 {
 
 /**
+ * Size and associativity of a capture filter: the two fields of a
+ * mem::CacheConfig it mirrors, kept here so the trace layer does not
+ * depend on mem.
+ */
+struct FilterGeometry
+{
+    Addr sizeBytes;
+    int ways;
+};
+
+/**
  * The private-cache filter of one capture thread: tag-only,
  * set-associative, exact LRU. Each set holds its ways' block numbers
  * as u32 in most-recently-used order, so an 8-way set is 32 bytes
  * and replacement is "drop the last". It has the set count and hit
  * sequence of a mem::Cache of the same geometry (DESIGN.md §18),
  * without the dirty bits, victims and use clock capture never reads.
- * Block numbers must stay below emptyTag (addresses below 256 GB).
+ * Block numbers stay below MemRecord::writeBit, so never reach
+ * emptyTag (CaptureContext::alloc asserts it).
  */
 class CaptureFilter
 {
   public:
-    explicit CaptureFilter(const mem::CacheConfig &config);
+    explicit CaptureFilter(const FilterGeometry &geometry);
 
     /**
      * Look up the block containing @p addr and make it the set's
@@ -93,8 +104,7 @@ class CaptureContext
      *        (default: a 256 KB, 8-way L2 proxy).
      */
     explicit CaptureContext(int threads,
-                            mem::CacheConfig filter = {256 * 1024,
-                                                       8});
+                            FilterGeometry filter = {256 * 1024, 8});
 
     int threads() const { return static_cast<int>(state.size()); }
 
@@ -180,7 +190,7 @@ class CaptureContext
 
     struct ThreadState
     {
-        explicit ThreadState(const mem::CacheConfig &cfg)
+        explicit ThreadState(const FilterGeometry &cfg)
             : filter(cfg), instructions(0)
         {
         }

@@ -25,21 +25,35 @@ namespace starnuma
 namespace trace
 {
 
-/** One filtered memory access. The write flag lives in bit 63. */
+/**
+ * One filtered memory access, 8 bytes: the thread's instruction
+ * count and the cache block number, with the write flag in bit 31
+ * of the block word. The capture asserts both fit (DESIGN.md §12):
+ * instruction counts up to maxInstr (Workload::capture,
+ * CaptureContext::take) and block numbers below writeBit, i.e.
+ * addresses below 128 GB (CaptureContext::alloc). Nothing
+ * downstream reads the byte offset within a block, so vaddr() is
+ * the block-aligned address.
+ */
 struct MemRecord
 {
-    std::uint64_t instr; ///< dynamic instruction count at the access
-    std::uint64_t packed;
+    std::uint32_t instr; ///< dynamic instruction count at the access
+    std::uint32_t packed;
 
-    static constexpr std::uint64_t writeBit = 1ULL << 63;
+    static constexpr std::uint32_t writeBit = 1u << 31;
+    /** Largest instruction count a record holds. */
+    static constexpr std::uint64_t maxInstr = ~std::uint32_t(0);
 
     MemRecord() : instr(0), packed(0) {}
     MemRecord(std::uint64_t instr_no, Addr vaddr, bool write)
-        : instr(instr_no), packed(vaddr | (write ? writeBit : 0))
+        : instr(static_cast<std::uint32_t>(instr_no)),
+          packed(static_cast<std::uint32_t>(vaddr / blockBytes) |
+                 (write ? writeBit : 0))
     {
     }
 
-    Addr vaddr() const { return packed & ~writeBit; }
+    std::uint32_t block() const { return packed & ~writeBit; }
+    Addr vaddr() const { return Addr(block()) * blockBytes; }
     bool isWrite() const { return packed & writeBit; }
 };
 

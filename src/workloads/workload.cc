@@ -17,13 +17,17 @@ namespace workloads
 trace::WorkloadTrace
 Workload::capture(const SimScale &scale)
 {
+    std::uint64_t target = static_cast<std::uint64_t>(scale.phases) *
+                           scale.phaseInstructions;
+    sn_assert(target <= trace::MemRecord::maxInstr,
+              "%llu instructions per thread overflow a trace record",
+              static_cast<unsigned long long>(target));
+
     trace::CaptureContext ctx(scale.threads());
     ctx.beginSetup();
     setup(ctx, scale);
     ctx.endSetup();
 
-    std::uint64_t target = static_cast<std::uint64_t>(scale.phases) *
-                           scale.phaseInstructions;
     constexpr std::uint64_t quantum = 2000;
 
     for (std::uint64_t q = quantum;; q += quantum) {

@@ -1,10 +1,11 @@
 /**
  * @file
- * Columnar trace format v2 tests: encode→decode round-trip
+ * Columnar trace format v3 tests: encode→decode round-trip
  * equality on captures of all eight workloads plus hand-built edge
  * traces, and a byte-fuzz robustness suite — every
  * truncation prefix, random corruption, over-long varints, bad
- * magic/version, and implausible counts must all make the decoder
+ * magic/version (v2 included), implausible counts, and values that
+ * overflow a MemRecord's u32 fields must all make the decoder
  * return false (or decode to *something*) without ever invoking
  * undefined behaviour. scripts/run_ci.sh runs this under
  * ASan/UBSan, which is what turns "no UB" into a checked claim.
@@ -31,6 +32,9 @@ namespace trace
 {
 namespace
 {
+
+/** The v3 header magic, "STARCOL3". */
+constexpr std::uint64_t v3Magic = 0x53544152434f4c33ULL;
 
 /** Reduced-size workload instances (mirrors workload_test.cc). */
 std::unique_ptr<workloads::Workload>
@@ -123,15 +127,19 @@ TEST_P(ColumnarRoundTrip, AllWorkloadsSurviveEncodeDecode)
     EXPECT_LE(back.maxPage, t.maxPage);
     EXPECT_LE(back.minPage, back.maxPage);
 
-    // And the claimed size win over v1's 16 bytes/record is real.
-    EXPECT_LT(bytes.size(), t.totalRecords() * 16);
+    // And the encoding is smaller than the in-memory records.
+    EXPECT_LT(bytes.size(), t.totalRecords() * sizeof(MemRecord));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, ColumnarRoundTrip,
     ::testing::ValuesIn(workloads::workloadNames()));
 
-/** Adversarial hand-built trace: extreme deltas in both columns. */
+/**
+ * Adversarial hand-built trace: the largest values a MemRecord holds
+ * (instruction count UINT32_MAX, block 2^31 - 1), full-range swings
+ * between them, and zero deltas in both columns.
+ */
 TEST(ColumnarTrace, EdgeValueRoundTrip)
 {
     WorkloadTrace t;
@@ -145,15 +153,20 @@ TEST(ColumnarTrace, EdgeValueRoundTrip)
     t.writtenPages = {PageNum(0), PageNum(123),
                       PageNum(1ULL << 50)};
     t.perThread.resize(3);
-    // Thread 0: max-magnitude address swings, alternating writes.
+    const Addr top = Addr(MemRecord::writeBit - 1) * blockBytes;
+    // Thread 0: max-magnitude block swings, alternating writes, up
+    // to the largest instruction count.
     t.perThread[0].emplace_back(0, Addr(0), false);
-    t.perThread[0].emplace_back(0, ~Addr(0) & ~MemRecord::writeBit,
-                                true);
+    t.perThread[0].emplace_back(0, top, true);
     t.perThread[0].emplace_back(5, Addr(64), true);
+    t.perThread[0].emplace_back(MemRecord::maxInstr, top, false);
+    t.perThread[0].emplace_back(MemRecord::maxInstr, Addr(0), true);
     // Thread 1: empty column set.
     // Thread 2: repeated identical records (zero deltas).
     for (int i = 0; i < 20; ++i)
         t.perThread[2].emplace_back(100, Addr(0x10000000), i % 2);
+    ASSERT_EQ(t.perThread[0][3].instr, MemRecord::maxInstr);
+    ASSERT_EQ(t.perThread[0][1].block(), MemRecord::writeBit - 1);
 
     std::vector<std::uint8_t> bytes = encodeColumnar(t);
     WorkloadTrace back;
@@ -222,7 +235,7 @@ TEST(ColumnarFuzz, EveryTruncationPrefixFailsCleanly)
 
 /**
  * Random single/multi-byte corruption: the decoder may reject or
- * may produce *a* trace (a flipped address-delta bit is still a
+ * may produce *a* trace (a flipped low block-delta bit is still a
  * well-formed stream), but it must never crash, hang, or trip the
  * sanitizers, and anything it accepts must respect its own bounds.
  */
@@ -290,20 +303,92 @@ TEST(ColumnarFuzz, BadMagicAndVersionRejected)
     bad[0] ^= 1;
     EXPECT_FALSE(decodeColumnar(bad.data(), bad.size(), out));
 
-    // Re-encode with a future version number: same magic, version
-    // bumped, rest untouched. Decoder must refuse, not guess.
-    std::vector<std::uint8_t> header;
-    putVarint(header, 0x53544152434f4c32ULL);
-    std::size_t magic_len = header.size();
-    putVarint(header, 3); // unknown version
-    std::vector<std::uint8_t> future(header);
-    // Old version byte is right after the magic; skip past it.
-    std::size_t old_version_len = 1;
-    future.insert(future.end(),
-                  bytes.begin() + magic_len + old_version_len,
-                  bytes.end());
+    // Re-head the v3 body with another magic and version, rest
+    // untouched. Decoder must refuse, not guess.
+    auto reheaded = [&](std::uint64_t magic, std::uint64_t version) {
+        std::vector<std::uint8_t> v;
+        putVarint(v, magic);
+        std::size_t magic_len = v.size();
+        putVarint(v, version);
+        // The v3 version byte is right after the magic; skip it.
+        v.insert(v.end(), bytes.begin() + magic_len + 1, bytes.end());
+        return v;
+    };
+    std::vector<std::uint8_t> same = reheaded(v3Magic, 3);
+    EXPECT_EQ(same, bytes);
+    EXPECT_TRUE(decodeColumnar(same.data(), same.size(), out));
+
+    // A future version.
+    std::vector<std::uint8_t> future = reheaded(v3Magic, 4);
     EXPECT_FALSE(
         decodeColumnar(future.data(), future.size(), out));
+
+    // The retired v2 header ("STARCOL2", version 2): there is no v2
+    // read path, and v2 stored byte addresses, not blocks.
+    std::vector<std::uint8_t> v2 = reheaded(0x53544152434f4c32ULL, 2);
+    EXPECT_FALSE(decodeColumnar(v2.data(), v2.size(), out));
+    std::vector<std::uint8_t> v2_magic =
+        reheaded(0x53544152434f4c32ULL, 3);
+    EXPECT_FALSE(
+        decodeColumnar(v2_magic.data(), v2_magic.size(), out));
+}
+
+/**
+ * A well-formed one-thread v3 buffer whose two records carry the
+ * given instruction and zigzag'd block deltas.
+ */
+std::vector<std::uint8_t>
+twoRecordBuffer(std::uint64_t instr0, std::uint64_t instr1,
+                std::int64_t block0, std::int64_t block1)
+{
+    std::vector<std::uint8_t> b;
+    putVarint(b, v3Magic);
+    putVarint(b, 3);      // version
+    putVarint(b, 0);      // empty name
+    putVarint(b, 1);      // one thread
+    putVarint(b, 1000);   // instructions
+    putVarint(b, 4096);   // footprint
+    putVarint(b, 0);      // no first touches
+    putVarint(b, 0);      // no written pages
+    putVarint(b, 2);      // two records
+    putVarint(b, instr0);
+    putVarint(b, instr1);
+    putVarint(b, zigzag(block0));
+    putVarint(b, zigzag(block1));
+    b.push_back(0); // write flags
+    return b;
+}
+
+/**
+ * Values that fit the varints but not a MemRecord — an instruction
+ * count past UINT32_MAX, a block number at or past 2^31, or one
+ * below zero — are corrupt, not silently truncated. The buffers one
+ * step short of each bound decode.
+ */
+TEST(ColumnarFuzz, OutOfRangeRecordValuesRejected)
+{
+    const std::uint64_t max_instr = MemRecord::maxInstr;
+    const std::int64_t max_block = MemRecord::writeBit - 1;
+    WorkloadTrace out;
+    auto decodes = [&](const std::vector<std::uint8_t> &b) {
+        return decodeColumnar(b.data(), b.size(), out);
+    };
+
+    EXPECT_TRUE(decodes(twoRecordBuffer(max_instr, 0, 0, max_block)));
+    ASSERT_EQ(out.perThread[0].size(), 2u);
+    EXPECT_EQ(out.perThread[0][1].instr, max_instr);
+    EXPECT_EQ(out.perThread[0][1].block(), MemRecord::writeBit - 1);
+
+    // Instruction delta overflowing u32, in one step and in two.
+    EXPECT_FALSE(decodes(twoRecordBuffer(max_instr + 1, 0, 0, 0)));
+    EXPECT_FALSE(decodes(twoRecordBuffer(max_instr, 1, 0, 0)));
+    EXPECT_FALSE(decodes(twoRecordBuffer(1, ~std::uint64_t(0), 0, 0)));
+
+    // Block delta reaching 2^31, in one step and in two, and a
+    // block number below zero.
+    EXPECT_FALSE(decodes(twoRecordBuffer(0, 0, max_block + 1, 0)));
+    EXPECT_FALSE(decodes(twoRecordBuffer(0, 0, max_block, 1)));
+    EXPECT_FALSE(decodes(twoRecordBuffer(0, 0, 0, -1)));
 }
 
 /**
@@ -314,15 +399,15 @@ TEST(ColumnarFuzz, BadMagicAndVersionRejected)
 TEST(ColumnarFuzz, ImplausibleCountsRejected)
 {
     std::vector<std::uint8_t> bytes;
-    putVarint(bytes, 0x53544152434f4c32ULL); // magic
-    putVarint(bytes, 2);                     // version
+    putVarint(bytes, v3Magic);
+    putVarint(bytes, 3);                     // version
     putVarint(bytes, ~std::uint64_t(0));     // name length: absurd
     WorkloadTrace out;
     EXPECT_FALSE(decodeColumnar(bytes.data(), bytes.size(), out));
 
     bytes.clear();
-    putVarint(bytes, 0x53544152434f4c32ULL);
-    putVarint(bytes, 2);
+    putVarint(bytes, v3Magic);
+    putVarint(bytes, 3);
     putVarint(bytes, 0);          // empty name
     putVarint(bytes, 1);          // one thread
     putVarint(bytes, 1000);       // instructions

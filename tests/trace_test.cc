@@ -26,15 +26,25 @@ namespace trace
 namespace
 {
 
+static_assert(sizeof(MemRecord) == 8);
+
 TEST(MemRecord, PacksAddressAndWriteFlag)
 {
+    // A record keeps the block, not the byte within it.
     MemRecord r(123, 0xdeadbeef, true);
     EXPECT_EQ(r.instr, 123u);
-    EXPECT_EQ(r.vaddr(), 0xdeadbeefu);
+    EXPECT_EQ(r.block(), 0xdeadbeefu / blockBytes);
+    EXPECT_EQ(r.vaddr(), 0xdeadbec0u);
     EXPECT_TRUE(r.isWrite());
     MemRecord ro(7, 0x1000, false);
     EXPECT_FALSE(ro.isWrite());
     EXPECT_EQ(ro.vaddr(), 0x1000u);
+    // The largest block and count a record holds.
+    Addr top = Addr(MemRecord::writeBit - 1) * blockBytes;
+    MemRecord hi(MemRecord::maxInstr, top, true);
+    EXPECT_EQ(hi.instr, MemRecord::maxInstr);
+    EXPECT_EQ(hi.vaddr(), top);
+    EXPECT_TRUE(hi.isWrite());
 }
 
 TEST(Capture, AllocIsPageAlignedAndDisjoint)
@@ -131,6 +141,41 @@ TEST(CaptureDeathTest, AccessOutsideAllocationPanics)
     EXPECT_DEATH(empty.load(0, a), "outside the allocated");
 }
 
+// Records hold u32 instruction counts: a thread that runs past
+// MemRecord::maxInstr cannot be taken, one that stops at it can.
+TEST(CaptureDeathTest, InstructionCountBeyondRecordPanics)
+{
+    CaptureContext at(1);
+    at.instr(0, MemRecord::maxInstr);
+    EXPECT_EQ(at.take("x", 0).threads, 1);
+    CaptureContext over(1);
+    over.instr(0, MemRecord::maxInstr + 1);
+    EXPECT_DEATH(over.take("x", 0), "overflows a trace record");
+}
+
+// Records hold 31-bit block numbers: the allocator may fill the
+// address space up to 2^31 blocks (128 GB) and no further. Only the
+// page bitmaps grow, so this costs a few MB.
+TEST(CaptureDeathTest, AllocationBeyondRecordBlocksPanics)
+{
+    const Addr limit = Addr(MemRecord::writeBit) * blockBytes;
+    CaptureContext ctx(1);
+    Addr a = ctx.alloc(pageBytes);
+    ctx.alloc(limit - a - 2 * pageBytes); // ends one page short
+    EXPECT_DEATH(ctx.alloc(pageBytes), "address space exhausted");
+}
+
+// A run longer than a record's instruction count fails before any
+// setup work.
+TEST(CaptureDeathTest, PhasesBeyondRecordInstructionsPanic)
+{
+    SimScale s = SimScale::tiny();
+    s.phases = 5;
+    s.phaseInstructions = 1000000000; // the paper's phase length
+    EXPECT_DEATH(workloads::makeWorkload("bfs")->capture(s),
+                 "overflow a trace record");
+}
+
 // Step A's bytes, pinned: the columnar encoding of each kernel's
 // tiny-scale capture at seed 1. Downstream goldens only see these
 // through replay and timing; a change here is a change to a kernel,
@@ -138,14 +183,14 @@ TEST(CaptureDeathTest, AccessOutsideAllocationPanics)
 TEST(Capture, TraceDigestsPinned)
 {
     const std::pair<const char *, const char *> pinned[] = {
-        {"sssp", "714bdc17d12ce0fbf4c1bfa19a185a7c"},
-        {"bfs", "7934c997e7e72b57e50d81210b7e0740"},
-        {"cc", "f87054ed71e5689d444af6d8b0e48074"},
-        {"tc", "8b02b75b49a444d829c44ee45ef46b23"},
-        {"masstree", "8e5f1e5a5770ccfd4531d963c2e20e81"},
-        {"tpcc", "853622f80fcfdf6bf5bdab3b71fc8285"},
-        {"fmi", "a8366a39e023eda99f464534b3ee2ba9"},
-        {"poa", "4ed83ed8d7a47deb11a885d9300aaabf"},
+        {"sssp", "73836aee7736266c304aada3cfd641cc"},
+        {"bfs", "530701ce6768d030814c6a870aef9d47"},
+        {"cc", "24e8570227663f0466f1149ba5fa42f2"},
+        {"tc", "ad6e1403bb49932ce1ebbe3e083f3dc5"},
+        {"masstree", "2c9fad06a31976298e28b874c924a097"},
+        {"tpcc", "3f20b4d4a7f27eb0ffe89d16a8700da3"},
+        {"fmi", "b2792e43a064f1e44d656b50ad996af3"},
+        {"poa", "7ac152ac61541c4cfd9780169a6c78f9"},
     };
     ASSERT_EQ(std::size(pinned), workloads::workloadNames().size());
     for (auto [name, digest] : pinned) {
@@ -168,7 +213,7 @@ TEST(CaptureFilter, MatchesMemCacheHitSequence)
         {5 * 64 * 2, 2}, // 5 sets round up to 8
     };
     for (const mem::CacheConfig &g : geometries) {
-        CaptureFilter filter(g);
+        CaptureFilter filter(FilterGeometry{g.sizeBytes, g.ways});
         mem::Cache cache(g);
         Rng rng(g.sizeBytes + g.ways);
         int mismatches = 0;
