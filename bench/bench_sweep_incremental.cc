@@ -1,11 +1,11 @@
 /**
  * @file
- * Incremental sweep engine (DESIGN.md §16): the same full sweep —
- * every bench workload crossed with both system setups — run cold
- * against an empty artifact store and then warm against the objects
- * the cold pass persisted. Records the cells-per-second rate of each
- * pass, the warm/cold speedup (the ISSUE's `sweep.warm_speedup`
- * acceptance metric), the warm pass's result-tier hit rate, and a
+ * Warm sweeps over the artifact store (DESIGN.md §16): the same full
+ * sweep — every bench workload crossed with both system setups — run
+ * cold against an empty store and then warm against the step-A
+ * traces and experiment results the cold pass persisted. Records the
+ * cells-per-second rate of each pass, the warm/cold speedup
+ * (`sweep.warm_speedup`), the warm pass's result-tier hit rate, and a
  * byte-identity bit comparing every warm artifact against its cold
  * counterpart. The cache directory is scratch space owned by this
  * bench (emptied via Store::trim(0) before the cold pass), so runs

@@ -18,9 +18,10 @@
 #     are audited like the main symbol: at -O3 (a Release build, which
 #     scripts/run_ci.sh checks too) PageAccessStats::record survives
 #     only as a `.constprop` clone.
-#   * TraceSim::runDynamic/runStaticOracle and decodeColumnar are
-#     covered by the analyzer but not checked here: their phase
-#     setup, checkpoint snapshots, and output sizing are line-level
+#   * TraceSim::runDynamic (the one replay loop), runStaticOracle
+#     and decodeColumnar are covered by the analyzer but not checked
+#     here: their phase setup, checkpoint snapshots, and output
+#     sizing are line-level
 #     cold-path escapes that stay lexically inside the function, so
 #     their bodies legitimately contain allocator calls.
 #   * Indirect calls (`call *%rax`) carry no symbol and cannot be

@@ -23,8 +23,8 @@
 #    directory must hold exactly stats.json, timeseries.json,
 #    audit.csv and trace.json, each well-formed, and the run-explain
 #    report must render from it (scripts/run_observability.sh). `sweep`
-#    smoke-tests the incremental sweep engine: a cold pass against a
-#    fresh artifact store, a warm pass against the persisted objects,
+#    smoke-tests warm sweeps over the artifact store: a cold pass
+#    against a fresh store, a warm pass against the persisted objects,
 #    asserting full result-tier hit rate and cold/warm byte identity,
 #    then `example_starnuma_cli cache verify` over every stored
 #    object. `bench` is opt-in — it re-measures step-B replay

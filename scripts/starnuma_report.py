@@ -254,8 +254,8 @@ def report_run(out, run, stats, series, audit, baseline_stats,
 
 def report_cache(out, cache):
     """Artifact-cache tier attribution (DESIGN.md §16): hit/miss
-    counts per tier, the differential-resume counters, store I/O and
-    the wall-clock split between serving hits and computing misses.
+    counts per tier, store I/O and the wall-clock split between
+    serving hits and computing misses.
     Rendered when a sweep ran with the cache enabled (runSweep
     publishes the counters under 'sweep.cache.*')."""
     out.write("=== artifact cache (sweep) ===\n\n")
@@ -271,10 +271,6 @@ def report_cache(out, cache):
          int(cache.get("traceMisses", 0)))
     tier("result tier", int(cache.get("resultHits", 0)),
          int(cache.get("resultMisses", 0)))
-    out.write("  %-12s %6d partial hit(s), %d phase(s) skipped by "
-              "differential resume\n"
-              % ("state tier", int(cache.get("partialHits", 0)),
-                 int(cache.get("phasesSkipped", 0))))
     out.write("  %-12s %6d byte(s) read, %d byte(s) written\n"
               % ("store I/O", int(cache.get("bytesRead", 0)),
                  int(cache.get("bytesWritten", 0))))
@@ -330,8 +326,6 @@ SELFTEST_STATS = {
     "sweep.cache.traceMisses": 2,
     "sweep.cache.resultHits": 12,
     "sweep.cache.resultMisses": 4,
-    "sweep.cache.partialHits": 1,
-    "sweep.cache.phasesSkipped": 3,
     "sweep.cache.bytesRead": 4096,
     "sweep.cache.bytesWritten": 8192,
     "sweep.cache.hitSeconds": 0.002,
@@ -401,7 +395,6 @@ Top migrated pages:
 
   trace tier        6 hit /      2 miss  ( 75% hit rate)
   result tier      12 hit /      4 miss  ( 75% hit rate)
-  state tier        1 partial hit(s), 3 phase(s) skipped by differential resume
   store I/O      4096 byte(s) read, 8192 byte(s) written
   wall time    0.002s serving hits, 1.250s computing misses
 

@@ -199,22 +199,6 @@ CACHE_KEYS = {
         "rng.seed",
         "checkpoint.format_version",
     ],
-    # Per-phase resume snapshots of the incremental sweep engine
-    # (DESIGN.md §16): keyed by the policy-schedule *prefix* applied
-    # before the snapshot phase, so cells that diverge at phase k
-    # share every state object below k.
-    "step_b_state": [
-        "phase",
-        "workload.name",
-        "trace.content",
-        "setup.topology",
-        "setup.policy",
-        "policy.prefix",
-        "scale",
-        "rng.seed",
-        "checkpoint.format_version",
-        "code.epoch",
-    ],
     # Full experiment-result bundles ("STARRES2"): metrics + the
     # embedded step-B artifact. Observed runs never use this tier.
     "experiment_result": [
@@ -222,7 +206,6 @@ CACHE_KEYS = {
         "trace.content",
         "setup.topology",
         "setup.policy",
-        "policy.schedule",
         "scale",
         "rng.seed",
         "checkpoint.format_version",

@@ -298,68 +298,6 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
     return plan;
 }
 
-void
-MigrationEngine::saveState(std::vector<std::uint8_t> &out) const
-{
-    putVarint(out, hi);
-    putVarint(out, lo);
-    putVarint(out, rng.rawState());
-    putVarint(out, rng.rawInc());
-    putVarint(out, migrated_);
-    putVarint(out, toPool_);
-    putVarint(out, victims_);
-    putVarint(out, suppressed_);
-    putVarint(out, migrationCounts.size());
-    for (const auto &[region, count] : migrationCounts) {
-        putVarint(out, region);
-        putVarint(out, static_cast<std::uint64_t>(count));
-    }
-    putVarint(out, poolResidents.size());
-    for (RegionId region : poolResidents)
-        putVarint(out, region);
-}
-
-bool
-MigrationEngine::loadState(ByteReader &r)
-{
-    if (!migrationCounts.empty() || !poolResidents.empty() ||
-        migrated_ != 0)
-        return false;
-    std::uint64_t v_hi = 0, v_lo = 0, rng_state = 0, rng_inc = 0;
-    if (!r.getVarint(v_hi) || !r.getVarint(v_lo) ||
-        !r.getVarint(rng_state) || !r.getVarint(rng_inc) ||
-        !r.getVarint(migrated_) || !r.getVarint(toPool_) ||
-        !r.getVarint(victims_) || !r.getVarint(suppressed_))
-        return false;
-    std::uint64_t n = 0;
-    if (!r.getVarint(n) || n > r.remaining())
-        return false;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t region = 0, count = 0;
-        if (!r.getVarint(region) || !r.getVarint(count))
-            return false;
-        if (!migrationCounts
-                 .try_emplace(static_cast<RegionId>(region),
-                              static_cast<int>(count))
-                 .second)
-            return false;
-    }
-    if (!r.getVarint(n) || n > r.remaining())
-        return false;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t region = 0;
-        if (!r.getVarint(region))
-            return false;
-        if (!poolResidents.insert(static_cast<RegionId>(region))
-                 .second)
-            return false;
-    }
-    hi = static_cast<std::uint32_t>(v_hi);
-    lo = static_cast<std::uint32_t>(v_lo);
-    rng.restoreRaw(rng_state, rng_inc);
-    return true;
-}
-
 double
 MigrationEngine::poolMigrationFraction() const
 {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/region_tracker.hh"
-#include "sim/bytes.hh"
 #include "sim/flat_map.hh"
 #include "mem/page_map.hh"
 #include "sim/obs/audit.hh"
@@ -133,35 +132,6 @@ class MigrationEngine
     /** Register the cumulative counters and live thresholds. */
     void registerStats(obs::Registry &r,
                        const std::string &prefix) const;
-
-    /**
-     * Live policy update between phases (the incremental sweep
-     * engine's phase-k divergence, DESIGN.md §16): replaces the
-     * given knobs while keeping the adaptive thresholds, cumulative
-     * counters, RNG stream and pool residency intact.
-     */
-    void
-    reconfigure(std::uint32_t migration_limit_pages,
-                int pool_sharer_threshold)
-    {
-        cfg.migrationLimitPages = migration_limit_pages;
-        cfg.poolSharerThreshold = pool_sharer_threshold;
-    }
-
-    /**
-     * Append the engine's mutable state (thresholds, RNG, per-region
-     * migration counts, pool residency, cumulative counters) to
-     * @p out for per-phase resume snapshots. The audit log is NOT
-     * serialized: resume is disabled while the obs::RunSink observes.
-     */
-    void saveState(std::vector<std::uint8_t> &out) const;
-
-    /**
-     * Restore a saveState() image into this freshly-constructed
-     * engine (same config/topology, no phases run yet).
-     * @return false on malformed input.
-     */
-    bool loadState(ByteReader &r);
 
     /**
      * Structured record of every Algorithm-1 decision across the

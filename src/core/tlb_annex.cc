@@ -153,69 +153,6 @@ TlbAnnex::flushAll()
             flushEntry(e);
 }
 
-void
-TlbAnnex::saveState(std::vector<std::uint8_t> &out) const
-{
-    putVarint(out, sets.size());
-    putVarint(out, useClock);
-    putVarint(out, hits_);
-    putVarint(out, misses_);
-    putVarint(out, flushes_);
-    std::uint64_t valid = 0;
-    for (const Entry &e : sets)
-        if (e.valid)
-            ++valid;
-    putVarint(out, valid);
-    for (std::size_t slot = 0; slot < sets.size(); ++slot) {
-        const Entry &e = sets[slot];
-        if (!e.valid)
-            continue;
-        putVarint(out, slot);
-        putVarint(out, e.page.value());
-        putVarint(out, e.lastUse);
-        putVarint(out, e.counter);
-        putVarint(out, e.marker ? 1 : 0);
-    }
-}
-
-bool
-TlbAnnex::loadState(ByteReader &r)
-{
-    std::uint64_t n_slots = 0, clock = 0, hits = 0, misses = 0,
-                  flushes = 0, valid = 0;
-    if (!r.getVarint(n_slots) || n_slots != sets.size())
-        return false;
-    for (const Entry &e : sets)
-        if (e.valid)
-            return false;
-    if (!r.getVarint(clock) || !r.getVarint(hits) ||
-        !r.getVarint(misses) || !r.getVarint(flushes) ||
-        !r.getVarint(valid) || valid > sets.size())
-        return false;
-    for (std::uint64_t i = 0; i < valid; ++i) {
-        std::uint64_t slot = 0, page = 0, last = 0, counter = 0,
-                      marker = 0;
-        if (!r.getVarint(slot) || slot >= sets.size() ||
-            !r.getVarint(page) || !r.getVarint(last) ||
-            !r.getVarint(counter) || counter > counterMax ||
-            !r.getVarint(marker) || marker > 1)
-            return false;
-        Entry &e = sets[slot];
-        if (e.valid)
-            return false;
-        e.valid = true;
-        e.page = PageNum(page);
-        e.lastUse = last;
-        e.counter = static_cast<std::uint32_t>(counter);
-        e.marker = marker != 0;
-    }
-    useClock = clock;
-    hits_ = hits;
-    misses_ = misses;
-    flushes_ = flushes;
-    return true;
-}
-
 bool
 TlbAnnex::shootdown(PageNum pn)
 {

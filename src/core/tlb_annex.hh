@@ -17,7 +17,6 @@
 
 #include "core/region_tracker.hh"
 #include "core/tlb_directory.hh"
-#include "sim/bytes.hh"
 #include "sim/types.hh"
 
 namespace starnuma
@@ -76,22 +75,6 @@ class TlbAnnex
     std::uint64_t tlbMisses() const { return misses_; }
     std::uint64_t tlbHits() const { return hits_; }
     std::uint64_t annexFlushes() const { return flushes_; }
-
-    /**
-     * Append the TLB residency state (valid entries with LRU
-     * stamps, use clock, counters) to @p out — TLB contents
-     * survive phase boundaries (flushAll() keeps entries valid), so
-     * the incremental sweep engine's per-phase resume snapshots
-     * (DESIGN.md §16) must carry them.
-     */
-    void saveState(std::vector<std::uint8_t> &out) const;
-
-    /**
-     * Restore a saveState() image into this freshly-constructed
-     * annex (same geometry, nothing resident yet).
-     * @return false on malformed input or a geometry mismatch.
-     */
-    bool loadState(ByteReader &r);
 
     /**
      * Attach the DiDi-style shared TLB directory (§III-D3): fills

@@ -71,83 +71,6 @@ TlbDirectory::shootdown(PageNum page)
     return targeted;
 }
 
-void
-TlbDirectory::saveState(std::vector<std::uint8_t> &out) const
-{
-    bool flat_mode = !flat.empty();
-    putVarint(out, flat_mode ? 1 : 0);
-    if (flat_mode) {
-        putVarint(out, flatBase.value());
-        putVarint(out, flat.size());
-    }
-    putVarint(out, sent_);
-    putVarint(out, saved_);
-    putVarint(out, trackedPages());
-    std::int64_t prev = 0;
-    auto emit = [&](PageNum page, const TlbHolderMask &m) {
-        std::int64_t v = static_cast<std::int64_t>(page.value());
-        putVarint(out, zigzag(v - prev));
-        prev = v;
-        for (std::uint64_t w : m.words)
-            putVarint(out, w);
-    };
-    if (flat_mode) {
-        for (std::size_t slot = 0; slot < flat.size(); ++slot)
-            if (flat[slot].any())
-                emit(PageNum(flatBase.value() + slot), flat[slot]);
-    } else {
-        for (const auto &[page, mask] : map)
-            emit(page, mask);
-    }
-}
-
-bool
-TlbDirectory::loadState(ByteReader &r)
-{
-    if (!map.empty() || !flat.empty())
-        return false;
-    std::uint64_t flat_mode = 0, sent = 0, saved = 0, n = 0;
-    if (!r.getVarint(flat_mode) || flat_mode > 1)
-        return false;
-    if (flat_mode) {
-        std::uint64_t base = 0, pages = 0;
-        if (!r.getVarint(base) || !r.getVarint(pages))
-            return false;
-        preallocate(PageNum(base),
-                    static_cast<std::size_t>(pages));
-    }
-    if (!r.getVarint(sent) || !r.getVarint(saved) ||
-        !r.getVarint(n) || n > r.remaining())
-        return false;
-    std::int64_t prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t delta = 0;
-        if (!r.getVarint(delta))
-            return false;
-        prev += unzigzag(delta);
-        PageNum page(static_cast<std::uint64_t>(prev));
-        TlbHolderMask m;
-        for (std::uint64_t &w : m.words)
-            if (!r.getVarint(w))
-                return false;
-        if (!m.any())
-            return false;
-        if (flat_mode) {
-            std::uint64_t slot = page.value() - flatBase.value();
-            if (slot >= flat.size() || flat[slot].any())
-                return false;
-            flat[slot] = m;
-            ++flatTracked;
-        } else {
-            if (!map.try_emplace(page, m).second)
-                return false;
-        }
-    }
-    sent_ = sent;
-    saved_ = saved;
-    return true;
-}
-
 double
 TlbDirectory::savingsRatio()
 const

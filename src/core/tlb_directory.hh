@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/bytes.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -145,20 +144,6 @@ class TlbDirectory
     /** Register shootdown counters and the savings ratio. */
     void registerStats(obs::Registry &r,
                        const std::string &prefix) const;
-
-    /**
-     * Append the directory state (mode, holder masks, counters) to
-     * @p out for the incremental sweep engine's per-phase resume
-     * snapshots (DESIGN.md §16).
-     */
-    void saveState(std::vector<std::uint8_t> &out) const;
-
-    /**
-     * Restore a saveState() image into this freshly-constructed
-     * directory (same core count, nothing tracked yet).
-     * @return false on malformed input.
-     */
-    bool loadState(ByteReader &r);
 
   private:
     /** Flat-mode slot of @p page (panics when out of range). */

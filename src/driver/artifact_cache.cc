@@ -64,8 +64,6 @@ ArtifactCache::resetCounters()
     traceMisses_.store(0, std::memory_order_relaxed);
     resultHits_.store(0, std::memory_order_relaxed);
     resultMisses_.store(0, std::memory_order_relaxed);
-    partialHits_.store(0, std::memory_order_relaxed);
-    phasesSkipped_.store(0, std::memory_order_relaxed);
     bytesRead_.store(0, std::memory_order_relaxed);
     bytesWritten_.store(0, std::memory_order_relaxed);
     hitNanos_.store(0, std::memory_order_relaxed);
@@ -86,8 +84,6 @@ ArtifactCache::registerStats(obs::Registry &r,
     count("traceMisses", &traceMisses_);
     count("resultHits", &resultHits_);
     count("resultMisses", &resultMisses_);
-    count("partialHits", &partialHits_);
-    count("phasesSkipped", &phasesSkipped_);
     count("bytesRead", &bytesRead_);
     count("bytesWritten", &bytesWritten_);
     // Host-profiling tier times (operator dashboards; never part of

@@ -1,9 +1,9 @@
 /**
  * @file
  * Process-wide handle on the persistent artifact store plus the
- * cache-tier counters of the incremental sweep engine and the store
- * audit (DESIGN.md §16). The store is the simulator's only on-disk persistence (step-A
- * traces included). Off by default; enabled by STARNUMA_CACHE_DIR
+ * counters of its two tiers (step-A traces, experiment results) and
+ * the store audit (DESIGN.md §16). The store is the simulator's only
+ * on-disk persistence. Off by default; enabled by STARNUMA_CACHE_DIR
  * (read once; ""/"0"/"off" keep it disabled) or explicitly via
  * enable() from benches and tests.
  *
@@ -65,13 +65,6 @@ class ArtifactCache
     // full experiment-result bundles
     void noteResultHit() { bump(resultHits_); }
     void noteResultMiss() { bump(resultMisses_); }
-    // differential re-simulation from a stored phase state
-    void notePartialHit(std::uint64_t phases_skipped)
-    {
-        bump(partialHits_);
-        phasesSkipped_.fetch_add(phases_skipped,
-                                 std::memory_order_relaxed);
-    }
     void noteBytesRead(std::uint64_t n)
     {
         bytesRead_.fetch_add(n, std::memory_order_relaxed);
@@ -103,11 +96,10 @@ class ArtifactCache
     {
         return get(resultMisses_);
     }
-    std::uint64_t partialHits() const { return get(partialHits_); }
-    std::uint64_t phasesSkipped() const
-    {
-        return get(phasesSkipped_);
-    }
+    // Always 0: no tier serves part of a cell. Kept only for the
+    // cache-served check in perfbench/driver.cc; the next change to
+    // the benchmark drops that call and this stub.
+    std::uint64_t partialHits() const { return 0; }
     std::uint64_t bytesRead() const { return get(bytesRead_); }
     std::uint64_t bytesWritten() const
     {
@@ -120,8 +112,8 @@ class ArtifactCache
     void resetCounters();
 
     /**
-     * Register every counter under @p prefix (hit/miss/partial
-     * counts, bytes, tier seconds) so starnuma_report.py can
+     * Register every counter under @p prefix (hit/miss counts,
+     * bytes, tier seconds) so starnuma_report.py can
      * attribute sweep time to cache tiers.
      */
     void registerStats(obs::Registry &r,
@@ -147,8 +139,6 @@ class ArtifactCache
     std::atomic<std::uint64_t> traceMisses_{0};
     std::atomic<std::uint64_t> resultHits_{0};
     std::atomic<std::uint64_t> resultMisses_{0};
-    std::atomic<std::uint64_t> partialHits_{0};
-    std::atomic<std::uint64_t> phasesSkipped_{0};
     std::atomic<std::uint64_t> bytesRead_{0};
     std::atomic<std::uint64_t> bytesWritten_{0};
     std::atomic<std::uint64_t> hitNanos_{0};

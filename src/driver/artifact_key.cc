@@ -6,6 +6,7 @@
 
 #include "sim/cas/code_epoch.hh"
 #include "sim/rng.hh"
+#include "trace/columnar.hh"
 
 namespace starnuma
 {
@@ -162,28 +163,6 @@ policyFingerprint(const SystemSetup &setup)
 }
 
 /**
- * Fingerprint of the phase-policy schedule entries with
- * fromPhase < @p before_phase, in vector order (application
- * order). before_phase < 0 fingerprints the whole schedule.
- */
-std::string
-scheduleFingerprint(const SystemSetup &setup, int before_phase)
-{
-    std::string t;
-    for (const PhasePolicy &pp : setup.phasePolicies) {
-        if (before_phase >= 0 && pp.fromPhase >= before_phase)
-            continue;
-        field(t, "fromPhase",
-              static_cast<std::uint64_t>(pp.fromPhase));
-        field(t, "migrationLimitFraction",
-              pp.migrationLimitFraction);
-        field(t, "poolSharerThreshold",
-              static_cast<std::uint64_t>(pp.poolSharerThreshold));
-    }
-    return fingerprint(t);
-}
-
-/**
  * Declared environment gates (the manifest's declared_env list).
  * Both are byte-invariant by the determinism contract — the worker
  * pool size and the artifact store's own location cannot change
@@ -209,31 +188,7 @@ traceKeyText(const std::string &workload, const SimScale &scale)
     field(k, "workload.name", workload);
     field(k, "workload.parameters", std::string("builtin"));
     field(k, "scale", scaleFingerprint(scale));
-    field(k, "trace.format_version",
-          static_cast<std::uint64_t>(2));
-    field(k, "code.epoch", cas::codeEpoch());
-    envFields(k);
-    return k;
-}
-
-// lint: artifact-root cache_key
-std::string
-stateKeyText(const std::string &workload,
-             const SystemSetup &setup, const SimScale &scale,
-             const cas::Hash128 &trace_content, int phase)
-{
-    std::string k;
-    field(k, "kind", std::string("step_b_state"));
-    field(k, "phase", static_cast<std::uint64_t>(phase));
-    field(k, "workload.name", workload);
-    field(k, "trace.content", trace_content.hex());
-    field(k, "setup.topology", topologyFingerprint(setup.sys));
-    field(k, "setup.policy", policyFingerprint(setup));
-    field(k, "policy.prefix", scheduleFingerprint(setup, phase));
-    field(k, "scale", scaleFingerprint(scale));
-    field(k, "rng.seed", taskSeed({workload, setup.name}));
-    field(k, "checkpoint.format_version",
-          static_cast<std::uint64_t>(2));
+    field(k, "trace.format_version", trace::columnarVersion);
     field(k, "code.epoch", cas::codeEpoch());
     envFields(k);
     return k;
@@ -251,7 +206,6 @@ resultKeyText(const std::string &workload,
     field(k, "trace.content", trace_content.hex());
     field(k, "setup.topology", topologyFingerprint(setup.sys));
     field(k, "setup.policy", policyFingerprint(setup));
-    field(k, "policy.schedule", scheduleFingerprint(setup, -1));
     field(k, "scale", scaleFingerprint(scale));
     field(k, "rng.seed", taskSeed({workload, setup.name}));
     field(k, "checkpoint.format_version",

@@ -35,7 +35,7 @@ namespace
  * The content hash (over the canonical columnar v3 encoding, the
  * byte image the artifact store holds) is computed lazily behind
  * its own once_flag: it is only needed when the artifact cache is
- * enabled, and step-B/result cache keys embed it as trace.content.
+ * enabled, and result cache keys embed it as trace.content.
  */
 struct TraceEntry
 {
@@ -286,8 +286,7 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
     ArtifactCache &cache = ArtifactCache::global();
     std::shared_ptr<cas::Store> store = cache.store();
     // Result bundles carry no observability channel: while the run
-    // sink observes, the experiment tier runs uncached and the
-    // phase hooks stay off (trace_sim enforces the same envelope).
+    // sink observes, the experiment tier runs uncached.
     const bool use_cache =
         store != nullptr && !obs::RunSink::global().enabled();
 
@@ -309,48 +308,11 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
     }
     std::uint64_t miss_t0 = cacheNowNanos();
 
-    // Differential re-simulation (DESIGN.md §16): look for the
-    // deepest stored phase state whose policy prefix matches, hand
-    // it to TraceSim as the resume point, and persist the states
-    // this run passes through for future divergent cells.
-    PhaseStateHooks hooks;
-    std::vector<std::uint8_t> resume_blob;
-    const bool stateful =
-        use_cache && setup.sys.hasPool &&
-        setup.placement == Placement::FirstTouchDynamic;
-    if (stateful) {
-        const cas::Hash128 &content = traceContentHash(*entry);
-        for (int k = scale.phases - 1; k >= 1; --k) {
-            std::string skey =
-                stateKeyText(workload, setup, scale, content, k);
-            if (store->fetchObject(skey, resume_blob)) {
-                hooks.resumePhase = k;
-                hooks.resumeState = &resume_blob;
-                cache.noteBytesRead(resume_blob.size());
-                break;
-            }
-        }
-        hooks.onPhaseState =
-            [&](int phase,
-                const std::vector<std::uint8_t> &state) {
-                std::string skey = stateKeyText(
-                    workload, setup, scale,
-                    traceContentHash(*entry), phase);
-                if (!store->containsObject(skey) &&
-                    store->putObject(skey, state))
-                    cache.noteBytesWritten(state.size());
-            };
-    }
-
     TraceSim trace_sim(setup, scale);
     {
         obs::TraceSpan span("trace-sim " + workload, "traceSim");
-        result.placement =
-            trace_sim.run(trace, stateful ? &hooks : nullptr);
+        result.placement = trace_sim.run(trace);
     }
-    if (result.placement.resumedFromPhase > 0)
-        cache.notePartialHit(static_cast<std::uint64_t>(
-            result.placement.resumedFromPhase));
 
     // §IV-A3 literally: one timing simulation per phase, fanned out
     // over the worker pool and merged in phase order.

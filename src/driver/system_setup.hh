@@ -5,14 +5,15 @@
  * configuration in §V: the baseline with perfect-knowledge dynamic
  * page migration, StarNUMA with T16 or T0 trackers, the bandwidth
  * and latency variants of Figs 10-11, the pool-capacity variant of
- * Fig 12, and the static-oracle placements of Fig 9.
+ * Fig 12, and the static-oracle placements of Fig 9. A setup fixes
+ * its policy for the whole run: step B replays every phase under the
+ * same Algorithm-1 knobs (§IV-A2).
  */
 
 #ifndef STARNUMA_DRIVER_SYSTEM_SETUP_HH
 #define STARNUMA_DRIVER_SYSTEM_SETUP_HH
 
 #include <string>
-#include <vector>
 
 #include "core/migration.hh"
 #include "core/replication.hh"
@@ -33,21 +34,6 @@ enum class Placement
     StaticOracle
 };
 
-/**
- * A mid-run policy change (DESIGN.md §16): starting at migration
- * phase @c fromPhase, the listed migration knobs replace the
- * engine's current values. Entries are applied in vector order at
- * the top of each phase, so a sweep cell that diverges from another
- * only at phase k shares every artifact before k — the incremental
- * sweep engine resumes such cells from the first divergent phase.
- */
-struct PhasePolicy
-{
-    int fromPhase = 0;
-    double migrationLimitFraction = 0.25;
-    int poolSharerThreshold = 8;
-};
-
 /** One evaluated configuration. */
 struct SystemSetup
 {
@@ -55,9 +41,6 @@ struct SystemSetup
     topology::SystemConfig sys;
     core::MigrationConfig migration;
     Placement placement = Placement::FirstTouchDynamic;
-
-    /** Scheduled mid-run policy changes, sorted by fromPhase. */
-    std::vector<PhasePolicy> phasePolicies;
 
     /** Region size used by the tracker/engine. The paper uses 512 KB
      *  at 16 TB of memory; 16 KB keeps a comparable region count at

@@ -45,23 +45,15 @@ TraceSim::socketOf(ThreadId t) const
 // lint: hot-path root of the whole replay: everything reachable
 // from here runs per record unless explicitly marked cold.
 TraceSimResult
-TraceSim::run(const trace::WorkloadTrace &trace,
-              const PhaseStateHooks *hooks)
+TraceSim::run(const trace::WorkloadTrace &trace)
 {
     sn_assert(trace.threads == scale.threads(),
               "trace captured for %d threads, scale expects %d",
               trace.threads, scale.threads());
-    // Resume/capture envelope (DESIGN.md §16): only pooled dynamic
-    // runs serialize cleanly, and only while the run sink is off
-    // (its streams and audit log are not part of the state image).
-    // lint: cold-path once-per-run run-sink gate
-    const bool observed = obs::RunSink::global().enabled();
-    if (!setup.sys.hasPool || observed)
-        hooks = nullptr;
     TraceSimResult result =
         setup.placement == Placement::StaticOracle
             ? runStaticOracle(trace)
-            : runDynamic(trace, hooks);
+            : runDynamic(trace);
     if (setup.replicateReadOnly)
         result.replication = core::planReplication(
             trace, scale.coresPerSocket, setup.sys.sockets,
@@ -197,9 +189,7 @@ sampleReplayPhase(ReplayTelemetry &t, obs::TimeSeries &series,
 // Checkpoint artifact format v2 ("STARCKP2"): varint/delta coded
 // with the sim/bytes.hh primitives. Collections are written in
 // sorted page order so artifacts stay byte-identical across runs.
-// The same encoders serve TraceSimResult::serialize()/deserialize()
-// and the incremental sweep engine's per-phase resume snapshots
-// (DESIGN.md §16).
+// The encoders serve TraceSimResult::serialize()/deserialize().
 constexpr std::uint64_t checkpointMagic = 0x53544152434b5032ULL;
 
 // Fixed 8-byte little-endian doubles (not the varint encoding of
@@ -298,8 +288,8 @@ putRegionMigrations(std::vector<std::uint8_t> &buf,
     }
 }
 
-// lint: cold-path resume-state / checkpoint-artifact decode,
-// bounded by stored counts, never per replay record
+// lint: cold-path checkpoint-artifact decode, bounded by stored
+// counts, never per replay record
 bool
 getRegionMigrations(trace::ByteReader &r,
                     std::vector<core::RegionMigration> &ms)
@@ -340,8 +330,8 @@ putPageMigrations(std::vector<std::uint8_t> &buf,
     }
 }
 
-// lint: cold-path resume-state / checkpoint-artifact decode,
-// bounded by stored counts, never per replay record
+// lint: cold-path checkpoint-artifact decode, bounded by stored
+// counts, never per replay record
 bool
 getPageMigrations(trace::ByteReader &r,
                   std::vector<core::PageMigration> &ms)
@@ -381,76 +371,16 @@ decodeCheckpoint(trace::ByteReader &r, Checkpoint &cp)
            getPageMigrations(r, cp.pageMigrations);
 }
 
-/**
- * Serialize the replay's full mutable state at the top of migration
- * phase @p phase: page homes, per-thread replay cursors, the
- * pending migrations decided by phase-1, the Algorithm-1 engine, the
- * DiDi directory, every TLB annex, and the checkpoints already
- * emitted. Restoring this image and replaying the remaining phases
- * yields artifacts byte-identical to a cold run (Golden.WarmEqualsCold).
- */
-// lint: cold-path once-per-phase resume snapshot
-// lint: artifact-root step_b_state
-STARNUMA_COLD_PATH void
-encodeResumeState(std::vector<std::uint8_t> &out, int phase,
-                  const mem::PageMap &pm,
-                  const std::vector<std::size_t> &cursor,
-                  const std::vector<core::RegionMigration> &pending_regions,
-                  const std::vector<core::PageMigration> &pending_pages,
-                  const core::MigrationEngine &engine,
-                  const core::TlbDirectory &tlb_dir,
-                  const std::vector<core::TlbAnnex> &tlbs,
-                  const std::vector<Checkpoint> &checkpoints)
-{
-    putVarint(out, checkpointMagic);
-    putVarint(out, static_cast<std::uint64_t>(phase));
-    pm.saveState(out);
-    putVarint(out, cursor.size());
-    for (std::size_t c : cursor)
-        putVarint(out, c);
-    putRegionMigrations(out, pending_regions);
-    putPageMigrations(out, pending_pages);
-    engine.saveState(out);
-    tlb_dir.saveState(out);
-    putVarint(out, tlbs.size());
-    for (const core::TlbAnnex &tlb : tlbs)
-        tlb.saveState(out);
-    putVarint(out, checkpoints.size());
-    for (const Checkpoint &cp : checkpoints)
-        encodeCheckpoint(out, cp);
-}
-
 } // anonymous namespace
 
-TraceSimResult
-TraceSim::runDynamic(const trace::WorkloadTrace &trace,
-                     const PhaseStateHooks *hooks)
-{
-    TraceSimResult result;
-    if (runDynamicImpl(trace, hooks, result))
-        return result;
-    // The resume image failed validation (stale, truncated or
-    // corrupted store object): demote to a clean cold run — never
-    // a wrong artifact (DESIGN.md §16).
-    result = TraceSimResult();
-    PhaseStateHooks cold;
-    if (hooks)
-        cold.onPhaseState = hooks->onPhaseState;
-    bool ok =
-        runDynamicImpl(trace, hooks ? &cold : nullptr, result);
-    sn_assert(ok, "cold replay cannot fail");
-    return result;
-}
-
 // lint: artifact-root step_b_checkpoint
-bool
-TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
-                         const PhaseStateHooks *hooks,
-                         TraceSimResult &result)
+TraceSimResult
+TraceSim::runDynamic(const trace::WorkloadTrace &trace)
 {
     const bool star = setup.sys.hasPool;
     const int nodes = setup.sys.sockets + (star ? 1 : 0);
 
+    TraceSimResult result;
     result.footprintPages = pagesIn(trace.footprintBytes);
     result.poolCapacityPages =
         star ? static_cast<std::uint64_t>(
@@ -483,9 +413,7 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
     }
 
     // StarNUMA machinery: shared metadata region, per-core TLB
-    // annexes, Algorithm 1 engine. The tracker is reset at every
-    // phase boundary (scanAndReset), so a fresh preallocated one is
-    // bit-equivalent on resume and carries no serialized state.
+    // annexes, Algorithm 1 engine.
     core::RegionTracker tracker(mig_cfg.counterBits,
                                 setup.sys.sockets,
                                 setup.regionBytes);
@@ -526,79 +454,13 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
     std::vector<core::RegionMigration> pending_regions;
     std::vector<core::PageMigration> pending_pages;
 
-    // Mid-run policy schedule (DESIGN.md §16): entries replace the
-    // engine's limit/threshold knobs at the top of their phase.
-    // Knob values are derived config, not serialized state, so on
-    // resume the prefix fromPhase < start_phase is re-applied below.
-    // lint: cold-path once-per-phase policy application
-    auto applyPolicy = [&](const PhasePolicy &pp) {
-        std::uint32_t limit = mig_cfg.migrationLimitPages;
-        if (mig_cfg.scaleLimitToFootprint)
-            limit = static_cast<std::uint32_t>(
-                std::max<std::uint64_t>(
-                    64,
-                    static_cast<std::uint64_t>(
-                        static_cast<double>(
-                            result.footprintPages) *
-                        pp.migrationLimitFraction)));
-        engine.reconfigure(limit, pp.poolSharerThreshold);
-    };
-
-    const bool resuming = star && hooks && hooks->resumeState &&
-                          hooks->resumePhase > 0 &&
-                          hooks->resumePhase < scale.phases;
-    int start_phase = 0;
-    if (resuming) {
-        // lint: cold-path once-per-run resume restore; every field
-        // is validated and any mismatch demotes to a cold run.
-        trace::ByteReader r(hooks->resumeState->data(),
-                            hooks->resumeState->size());
-        std::uint64_t magic = 0, k = 0, n = 0;
-        if (!r.getVarint(magic) || magic != checkpointMagic ||
-            !r.getVarint(k) ||
-            k != static_cast<std::uint64_t>(hooks->resumePhase) ||
-            !pm.loadState(r) || !r.getVarint(n) ||
-            n != cursor.size())
-            return false;
-        for (std::size_t t = 0; t < cursor.size(); ++t) {
-            std::uint64_t c = 0;
-            if (!r.getVarint(c) || c > trace.perThread[t].size())
-                return false;
-            cursor[t] = static_cast<std::size_t>(c);
-        }
-        if (!getRegionMigrations(r, pending_regions) ||
-            !getPageMigrations(r, pending_pages) ||
-            !engine.loadState(r) || !tlb_dir.loadState(r) ||
-            !r.getVarint(n) || n != tlbs.size())
-            return false;
-        for (core::TlbAnnex &tlb : tlbs)
-            if (!tlb.loadState(r))
-                return false;
-        if (!r.getVarint(n) ||
-            n != static_cast<std::uint64_t>(hooks->resumePhase))
-            return false;
-        // lint: cold-path once-per-run resume restore
-        result.checkpoints.assign(
-            static_cast<std::size_t>(n), {});
-        for (Checkpoint &cp : result.checkpoints)
-            if (!decodeCheckpoint(r, cp))
-                return false;
-        if (r.remaining() != 0)
-            return false;
-        start_phase = hooks->resumePhase;
-        result.resumedFromPhase = start_phase;
-        for (const PhasePolicy &pp : setup.phasePolicies)
-            if (pp.fromPhase < start_phase)
-                applyPolicy(pp);
-    } else {
-        if (spanPages > 0) {
-            pm.preallocate(spanLo, spanPages);
-            if (star)
-                tlb_dir.preallocate(spanLo, spanPages);
-        }
-        for (const auto &ft : trace.firstTouches)
-            pm.touch(ft.page, socketOf(ft.thread));
+    if (spanPages > 0) {
+        pm.preallocate(spanLo, spanPages);
+        if (star)
+            tlb_dir.preallocate(spanLo, spanPages);
     }
+    for (const auto &ft : trace.firstTouches)
+        pm.touch(ft.page, socketOf(ft.thread));
 
     // lint: cold-path once-per-run run-sink gate behind one relaxed
     // load; off in benchmarked replay.
@@ -608,24 +470,7 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
         initReplayTelemetry(telemetry, result.timeseries, star,
                             scale.phases);
 
-    const bool emit_state = star && hooks && hooks->onPhaseState;
-
-    for (int phase = start_phase; phase < scale.phases; ++phase) {
-        if (emit_state && phase > start_phase) {
-            // lint: cold-path once-per-phase resume snapshot,
-            // emitted before this phase's policy entries apply (the
-            // image depends only on the prefix fromPhase < phase).
-            std::vector<std::uint8_t> state;
-            encodeResumeState(state, phase, pm, cursor,
-                              pending_regions, pending_pages,
-                              engine, tlb_dir, tlbs,
-                              result.checkpoints);
-            hooks->onPhaseState(phase, state);
-        }
-        // lint: cold-path once-per-phase policy schedule scan
-        for (const PhasePolicy &pp : setup.phasePolicies)
-            if (pp.fromPhase == phase)
-                applyPolicy(pp);
+    for (int phase = 0; phase < scale.phases; ++phase) {
         Checkpoint cp;
         cp.pageHome = snapshot(pm);
         cp.regionMigrations = std::move(pending_regions);
@@ -727,7 +572,7 @@ TraceSim::runDynamicImpl(const trace::WorkloadTrace &trace,
         result.stats = reg.snapshot();
         result.audit = engine.audit();
     }
-    return true;
+    return result;
 }
 
 // lint: artifact-root step_b_checkpoint

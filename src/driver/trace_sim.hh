@@ -13,7 +13,6 @@
 #define STARNUMA_DRIVER_TRACE_SIM_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,14 +97,6 @@ struct TraceSimResult
     std::uint64_t tlbShootdownsSaved = 0;
 
     /**
-     * Migration phase this run actually resumed from via
-     * PhaseStateHooks (0 = ran cold, including after a failed
-     * restore). Runtime diagnostic for the cache's partial-hit
-     * accounting; not part of the serialize() image.
-     */
-    int resumedFromPhase = 0;
-
-    /**
      * Migration-engine / TLB-directory registry snapshot, taken at
      * the end of the run while the obs::RunSink is enabled; empty
      * otherwise. Not part of the serialize() image.
@@ -145,41 +136,6 @@ struct TraceSimResult
     bool deserialize(ByteReader &r);
 };
 
-/**
- * Incremental sweep hooks (DESIGN.md §16): lets the artifact cache
- * observe and restore the replay's full mutable state at phase
- * boundaries so a sweep cell whose policy diverges only at phase k
- * resumes from the last shared phase instead of replaying from
- * scratch.
- *
- * The hooks are honored only on dynamic-placement runs of a pooled
- * (StarNUMA) setup with the obs::RunSink disabled: the state image
- * carries neither telemetry deltas nor the audit log, and the
- * baseline's perfect-knowledge policy is deliberately not
- * serialized. Outside that envelope TraceSim silently ignores the
- * hooks and runs cold — never a wrong artifact.
- */
-struct PhaseStateHooks
-{
-    /**
-     * Called at the top of each migration phase @c phase >= 1 (and
-     * > resumePhase when resuming) with the serialized replay state
-     * as of that boundary, BEFORE any PhasePolicy entry with
-     * fromPhase == phase is applied — the state depends only on the
-     * policy prefix fromPhase < phase, which is what the artifact
-     * cache keys it by.
-     */
-    std::function<void(int phase,
-                       const std::vector<std::uint8_t> &state)>
-        onPhaseState;
-
-    /** Resume from this phase (0 = cold run from the start). */
-    int resumePhase = 0;
-
-    /** State image for resumePhase (from a prior onPhaseState). */
-    const std::vector<std::uint8_t> *resumeState = nullptr;
-};
-
 /** The memory-trace simulator. */
 class TraceSim
 {
@@ -187,21 +143,11 @@ class TraceSim
     TraceSim(const SystemSetup &system_setup,
              const SimScale &sim_scale);
 
-    /**
-     * Run all phases over @p trace. @p hooks (optional) enables the
-     * incremental sweep engine's per-phase state capture/resume; a
-     * resume image that fails validation falls back to a clean cold
-     * run with identical results.
-     */
-    TraceSimResult run(const trace::WorkloadTrace &trace,
-                       const PhaseStateHooks *hooks = nullptr);
+    /** Run all phases over @p trace. */
+    TraceSimResult run(const trace::WorkloadTrace &trace);
 
   private:
-    TraceSimResult runDynamic(const trace::WorkloadTrace &trace,
-                              const PhaseStateHooks *hooks);
-    bool runDynamicImpl(const trace::WorkloadTrace &trace,
-                        const PhaseStateHooks *hooks,
-                        TraceSimResult &result);
+    TraceSimResult runDynamic(const trace::WorkloadTrace &trace);
     TraceSimResult runStaticOracle(const trace::WorkloadTrace &trace);
 
     NodeId socketOf(ThreadId t) const;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/bytes.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -100,21 +99,6 @@ class PageMap
 
     /** Pages whose initial placement came from first touch. */
     std::uint64_t firstTouchPages() const { return firstTouch; }
-
-    /**
-     * Append the full mapping state (mode, entries in insertion
-     * order, first-touch counter) to @p out for the per-phase
-     * resume snapshots of the incremental sweep engine
-     * (DESIGN.md §16).
-     */
-    void saveState(std::vector<std::uint8_t> &out) const;
-
-    /**
-     * Restore a saveState() image into this freshly-constructed
-     * map (same node count, nothing mapped yet).
-     * @return false on malformed input (the map is then unusable).
-     */
-    bool loadState(ByteReader &r);
 
     /** Visit every (page, home) entry, in insertion order. */
     template <typename Fn>

@@ -4,12 +4,11 @@
  * encoder: LEB128 varints, zigzag signed mapping, fixed-width
  * little-endian scalars, and the bounds-checked ByteReader cursor.
  *
- * Historically these lived in trace/columnar.hh; they moved down to
- * the sim layer so mem/ and core/ state serializers (the incremental
- * sweep engine's per-phase resume snapshots, DESIGN.md §16) can use
- * them without violating the D6 include DAG. trace/columnar.hh
- * re-exports them into namespace trace, so existing call sites
- * (`trace::putVarint`, `trace::ByteReader`, ...) are unchanged.
+ * They live in the sim layer so the artifact store (sim/cas), the
+ * trace format and the driver's checkpoint and result encoders share
+ * one implementation without violating the D6 include DAG.
+ * trace/columnar.hh re-exports them into namespace trace
+ * (`trace::putVarint`, `trace::ByteReader`, ...).
  *
  * Every decoder built on ByteReader is fully bounds-checked:
  * truncation, over-long varints and impossible counts all surface as

@@ -88,20 +88,6 @@ class Rng
      */
     std::uint32_t skewed(std::uint32_t n, double theta);
 
-    /**
-     * Raw generator words, for checkpoint/resume serialization
-     * (DESIGN.md §16). restoreRaw() with a previously captured pair
-     * resumes the exact sequence.
-     */
-    std::uint64_t rawState() const { return state; }
-    std::uint64_t rawInc() const { return inc; }
-    void
-    restoreRaw(std::uint64_t raw_state, std::uint64_t raw_inc)
-    {
-        state = raw_state;
-        inc = raw_inc;
-    }
-
     /** Fisher-Yates shuffle of @p v. */
     template <typename T>
     void

@@ -12,7 +12,6 @@ namespace
 
 constexpr std::uint64_t columnarMagic =
     0x53544152434f4c33ULL; // "STARCOL3"
-constexpr std::uint64_t columnarVersion = 3;
 
 /** Upper bound accepted for any length field: a count larger than
  *  the remaining bytes cannot be real (every element costs at least

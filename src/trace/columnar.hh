@@ -15,10 +15,10 @@
  * and unknown versions (v2 included) all return failure — never undefined behaviour (fuzzed in
  * tests/columnar_trace_test.cc under ASan).
  *
- * The varint/ByteReader primitives live in sim/bytes.hh (the step-B
- * checkpoint serialization and the mem/core resume-state encoders
- * share them from below this layer); they are re-exported here so
- * trace-side call sites keep their historical names.
+ * The varint/ByteReader primitives live in sim/bytes.hh (shared with
+ * the step-B checkpoint and the artifact store encoders); they are
+ * re-exported here so trace-side call sites keep their historical
+ * names.
  */
 
 #ifndef STARNUMA_TRACE_COLUMNAR_HH
@@ -39,6 +39,12 @@ using starnuma::ByteReader;
 using starnuma::putVarint;
 using starnuma::unzigzag;
 using starnuma::zigzag;
+
+/**
+ * Version word of the columnar layout; the step-A trace cache key
+ * (driver/artifact_key.cc) carries it as trace.format_version.
+ */
+inline constexpr std::uint64_t columnarVersion = 3;
 
 /** Serialize @p t into the columnar v3 byte layout. */
 std::vector<std::uint8_t> encodeColumnar(const WorkloadTrace &t);

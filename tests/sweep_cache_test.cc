@@ -1,12 +1,13 @@
 /**
  * @file
- * Incremental sweep engine (DESIGN.md §16): cache-key stability
- * goldens (each declared input perturbs the key; nothing else
- * does), warm-equals-cold byte identity across worker-pool sizes,
- * differential re-simulation from the first divergent phase, the
- * corruption contract at the experiment tier (a damaged stored
- * bundle demotes to recomputation with identical artifacts), the
- * one code epoch shared by every key, the store audit, that an
+ * The artifact store's two tiers, step-A traces and experiment
+ * results (DESIGN.md §16): cache-key stability goldens (each
+ * declared input perturbs the key; nothing else does), the trace
+ * key's format version, warm-equals-cold byte identity across
+ * worker-pool sizes, that a cold run stores only trace and result
+ * objects, the corruption contract at the experiment tier (a damaged
+ * stored bundle demotes to recomputation with identical artifacts),
+ * the one code epoch shared by every key, the store audit, that an
  * observed run skips the experiment tier, and that with the store
  * disabled nothing reaches the disk.
  */
@@ -29,6 +30,7 @@
 #include "sim/obs/obs.hh"
 #include "sim/parallel.hh"
 #include "sim/scale.hh"
+#include "trace/columnar.hh"
 
 namespace starnuma
 {
@@ -81,6 +83,8 @@ TEST(CacheKey, TraceKeyPerturbation)
     EXPECT_NE(base.find("kind=step_a_trace\n"), std::string::npos);
     EXPECT_NE(base.find("workload.name=bfs\n"), std::string::npos);
     EXPECT_NE(base.find("code.epoch="), std::string::npos);
+    EXPECT_EQ(driver::keyField(base, "trace.format_version"),
+              std::to_string(trace::columnarVersion));
     EXPECT_NE(base.find("env.STARNUMA_THREADS=invariant\n"),
               std::string::npos);
 
@@ -105,8 +109,7 @@ TEST(CacheKey, TraceKeyPerturbation)
               std::string::npos);
     driver::SystemSetup setup = driver::SystemSetup::starnuma();
     for (const std::string &key :
-         {base, driver::stateKeyText("bfs", setup, s, fakeContent(), 1),
-          driver::resultKeyText("bfs", setup, s, fakeContent())})
+         {base, driver::resultKeyText("bfs", setup, s, fakeContent())})
         EXPECT_EQ(driver::keyField(key, "code.epoch"), epoch) << key;
 }
 
@@ -134,40 +137,6 @@ TEST(CacheKey, ResultKeyPerturbation)
     topo.sys.cxlOneWayNs += 1.0;
     EXPECT_NE(base, driver::resultKeyText("bfs", topo, s,
                                           fakeContent()));
-    driver::SystemSetup sched = setup;
-    sched.phasePolicies.push_back({1, 0.5, 4});
-    EXPECT_NE(base, driver::resultKeyText("bfs", sched, s,
-                                          fakeContent()));
-}
-
-/**
- * The state key's policy fingerprint covers exactly the schedule
- * *prefix* applied before the snapshot phase — the property the
- * differential resume leans on: cells diverging at phase k share
- * every state object at phases <= k.
- */
-TEST(CacheKey, StateKeyCoversOnlyThePolicyPrefix)
-{
-    SimScale s = SimScale::tiny();
-    driver::SystemSetup shared = driver::SystemSetup::starnuma();
-    driver::SystemSetup diverged = shared;
-    diverged.phasePolicies.push_back({1, 0.10, 2});
-
-    // Phase 1 precedes the divergence: identical keys.
-    EXPECT_EQ(driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   1),
-              driver::stateKeyText("bfs", diverged, s,
-                                   fakeContent(), 1));
-    // A later phase sees the diverged prefix: different keys.
-    EXPECT_NE(driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   2),
-              driver::stateKeyText("bfs", diverged, s,
-                                   fakeContent(), 2));
-    // Phases key separately.
-    EXPECT_NE(driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   1),
-              driver::stateKeyText("bfs", shared, s, fakeContent(),
-                                   2));
 }
 
 // --- experiment-tier behaviour -------------------------------------
@@ -195,6 +164,15 @@ TEST(SweepCache, WarmResultHitIsByteIdentical)
     EXPECT_EQ(cache.resultMisses(), 1u);
     EXPECT_EQ(cache.resultHits(), 0u);
     EXPECT_EQ(placementBytes(cold), placementBytes(ref));
+    // The store holds step-A traces and experiment results only.
+    std::size_t results = 0;
+    for (const auto &o : driver::auditStore(*cache.store()).objects) {
+        EXPECT_TRUE(o.kind == "step_a_trace" ||
+                    o.kind == "experiment_result")
+            << o.rel << ": " << o.kind;
+        results += o.kind == "experiment_result";
+    }
+    EXPECT_EQ(results, 1u);
 
     driver::ExperimentResult warm =
         driver::runExperiment("tc", setup, s);
@@ -233,41 +211,6 @@ TEST(SweepCache, WarmEqualsColdAcrossPoolSizes)
     EXPECT_EQ(driver::ArtifactCache::global().resultHits(), 2u);
 }
 
-TEST(SweepCache, DivergentPolicyResumesFromSharedPhase)
-{
-    SimScale s = SimScale::tiny(); // 2 migration phases
-    driver::SystemSetup shared = driver::SystemSetup::starnuma();
-    // Same name (the replay RNG seeds from it — a differently
-    // named setup is a genuinely different simulation), schedule
-    // diverging at phase 1.
-    driver::SystemSetup diverged = shared;
-    diverged.phasePolicies.push_back({1, 0.10, 2});
-
-    // Reference for the diverged cell, no cache anywhere.
-    driver::ArtifactCache::global().disable();
-    driver::ExperimentResult ref =
-        driver::runExperiment("cc", diverged, s);
-
-    ScopedCache cache_dir("sweep_cache_diverge");
-    driver::ArtifactCache &cache = driver::ArtifactCache::global();
-
-    // Cold pass of the shared-prefix cell persists its phase-1
-    // state under the shared policy-prefix key.
-    driver::runExperiment("cc", shared, s);
-    EXPECT_EQ(cache.partialHits(), 0u);
-
-    // The diverged cell misses at the result tier but finds the
-    // phase-1 state: differential re-simulation from phase 1.
-    driver::ExperimentResult out =
-        driver::runExperiment("cc", diverged, s);
-    EXPECT_EQ(cache.partialHits(), 1u);
-    EXPECT_GE(cache.phasesSkipped(), 1u);
-    EXPECT_EQ(out.placement.resumedFromPhase, 1);
-    EXPECT_EQ(placementBytes(out), placementBytes(ref));
-    EXPECT_EQ(driver::metricsSnapshot(out.metrics).values(),
-              driver::metricsSnapshot(ref.metrics).values());
-}
-
 TEST(SweepCache, CorruptedBundleDemotesToRecompute)
 {
     SimScale s = SimScale::tiny();
@@ -299,7 +242,6 @@ TEST(SweepCache, CorruptedBundleDemotesToRecompute)
     driver::ExperimentResult redo =
         driver::runExperiment("fmi", setup, s);
     EXPECT_EQ(cache.resultHits(), 0u);
-    EXPECT_EQ(cache.partialHits(), 0u);
     EXPECT_EQ(cache.resultMisses(), 1u);
     EXPECT_EQ(placementBytes(redo), cold_bytes);
 }
@@ -351,9 +293,9 @@ TEST(CacheAudit, CountsAndDropsBadObjects)
 }
 
 /**
- * An observed run skips the experiment tier and the step-B hooks:
- * with a store it writes no experiment_result or step_b_state
- * object, and its stats equal those of a store-less observed run.
+ * An observed run skips the experiment tier: with a store it writes
+ * no experiment_result object, and its stats equal those of a
+ * store-less observed run.
  */
 TEST(SweepCache, ObservedRunSkipsExperimentTier)
 {
@@ -375,11 +317,8 @@ TEST(SweepCache, ObservedRunSkipsExperimentTier)
 
     EXPECT_EQ(stored, plain);
     EXPECT_EQ(cache.resultHits() + cache.resultMisses(), 0u);
-    EXPECT_EQ(cache.partialHits(), 0u);
-    for (const auto &o : driver::auditStore(*cache.store()).objects) {
+    for (const auto &o : driver::auditStore(*cache.store()).objects)
         EXPECT_NE(o.kind, "experiment_result") << o.rel;
-        EXPECT_NE(o.kind, "step_b_state") << o.rel;
-    }
 }
 
 TEST(SweepCache, TraceTierCountsCaptures)
