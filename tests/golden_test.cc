@@ -22,6 +22,7 @@
 
 #include "driver/sweep.hh"
 #include "driver/trace_sim.hh"
+#include "sim/cas/hash.hh"
 #include "sim/obs/obs.hh"
 #include "sim/parallel.hh"
 #include "workloads/workload.hh"
@@ -159,6 +160,107 @@ TEST(Golden, ArtifactsByteIdenticalAcrossPoolSizes)
         EXPECT_EQ(a.json, serial.json);
     }
     ThreadPool::setGlobalThreads(0);
+}
+
+// --- Step-B output pinned for every named setup ---
+
+/** Pinned digests of one setup's replay of the tiny bfs capture. */
+struct StepBPin
+{
+    driver::SystemSetup (*make)();
+    const char *checkpoints; ///< serialize() image
+    const char *series;      ///< per-phase time-series JSON
+    const char *audit;       ///< Algorithm-1 audit rows
+    const char *stats;       ///< stats JSON; nullptr = not pinned
+};
+
+const StepBPin stepBPins[] = {
+    {driver::SystemSetup::baseline,
+     "101903d0100cf366ffd2640e7dc989ea",
+     "fda760cf4ef07b4ad140dad485551d41",
+     "6c62272e07bb014262b821756295c58d",
+     nullptr},
+    {driver::SystemSetup::starnuma,
+     "ce61eb2990b04384fca72be1ed35800e",
+     "cd18537933cd5704ac34a7bb885d714c",
+     "0d5148f5e1dd53cc184dae8b27bfb7f6",
+     "af7579233020ad06db3de5323c68e321"},
+    {driver::SystemSetup::starnumaT0,
+     "9126e64a437a3a042a36cc3861a25e2e",
+     "01d51a4675f6eed9e01b7347de735fed",
+     "64c7f604212330319c00e8079c5f7bbd",
+     "1635cf579bc1aab4a0ebc46bd1699387"},
+    {driver::SystemSetup::starnumaSwitched,
+     "96a62f8cf937349e4c2b3702b42e4c82",
+     "cd18537933cd5704ac34a7bb885d714c",
+     "6d70cd33c1a1bfcafa5b7088c3e1289a",
+     "af7579233020ad06db3de5323c68e321"},
+    {driver::SystemSetup::baselineIsoBW,
+     "101903d0100cf366ffd2640e7dc989ea",
+     "fda760cf4ef07b4ad140dad485551d41",
+     "6c62272e07bb014262b821756295c58d",
+     nullptr},
+    {driver::SystemSetup::baseline2xBW,
+     "101903d0100cf366ffd2640e7dc989ea",
+     "fda760cf4ef07b4ad140dad485551d41",
+     "6c62272e07bb014262b821756295c58d",
+     nullptr},
+    {driver::SystemSetup::starnumaHalfBW,
+     "92512a7d899b96d1c105fccfbccad098",
+     "cd18537933cd5704ac34a7bb885d714c",
+     "b67b35a6333bd1737dcc128cc4fbaf84",
+     "af7579233020ad06db3de5323c68e321"},
+    {driver::SystemSetup::starnumaSmallPool,
+     "6384e995e2792b6bff10615c9abcf1a7",
+     "cd18537933cd5704ac34a7bb885d714c",
+     "4825714bcbd209ac7481f77cd8b2fa16",
+     "af7579233020ad06db3de5323c68e321"},
+    {driver::SystemSetup::baselineStatic,
+     "4df3a44b39d2713c8a5a65980d83ab19",
+     "a68d90c7f78b5822836dbc798b0b8205",
+     "6c62272e07bb014262b821756295c58d",
+     nullptr},
+    {driver::SystemSetup::starnumaStatic,
+     "5d4d51e6490135f47519e11a49997a71",
+     "a68d90c7f78b5822836dbc798b0b8205",
+     "6c62272e07bb014262b821756295c58d",
+     "a68d90c7f78b5822836dbc798b0b8205"},
+    {driver::SystemSetup::baselineReplication,
+     "101903d0100cf366ffd2640e7dc989ea",
+     "fda760cf4ef07b4ad140dad485551d41",
+     "6c62272e07bb014262b821756295c58d",
+     nullptr},
+};
+
+/**
+ * Step B's every output, observed, for all eleven named setups:
+ * the checkpoint image, the time series and the audit log of each,
+ * and the stats of the pool setups. A placement refactor must keep
+ * every digest.
+ */
+TEST(Golden, StepBOutputsPinnedForEveryNamedSetup)
+{
+    SimScale s = SimScale::tiny();
+    auto trace = workloads::makeWorkload("bfs")->capture(s);
+    obs::RunSink &sink = obs::RunSink::global();
+    sink.start("");
+    for (const StepBPin &pin : stepBPins) {
+        // TraceSim keeps a reference to the setup: it must outlive
+        // the simulator.
+        driver::SystemSetup setup = pin.make();
+        SCOPED_TRACE(setup.name);
+        driver::TraceSimResult r = driver::TraceSim(setup, s).run(trace);
+        EXPECT_EQ(cas::hashBytes(r.serialize()).hex(), pin.checkpoints);
+        EXPECT_EQ(cas::hashString(r.timeseries.json()).hex(),
+                  pin.series);
+        EXPECT_EQ(cas::hashString(r.audit.csvRows("run")).hex(),
+                  pin.audit);
+        if (pin.stats != nullptr) {
+            EXPECT_EQ(cas::hashString(r.stats.json()).hex(),
+                      pin.stats);
+        }
+    }
+    sink.stop();
 }
 
 } // anonymous namespace
