@@ -41,7 +41,6 @@ speedup32(const std::string &workload)
     driver::SystemSetup base;
     base.name = "baseline-32";
     base.sys = topology::SystemConfig::baseline32();
-    base.migration.poolEnabled = false;
     driver::SystemSetup star;
     star.name = "starnuma-32";
     star.sys = topology::SystemConfig::starnuma32();

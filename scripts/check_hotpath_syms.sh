@@ -18,12 +18,15 @@
 #     are audited like the main symbol: at -O3 (a Release build, which
 #     scripts/run_ci.sh checks too) PageAccessStats::record survives
 #     only as a `.constprop` clone.
-#   * TraceSim::runDynamic (the one replay loop), runStaticOracle
-#     and decodeColumnar are covered by the analyzer but not checked
-#     here: their phase setup, checkpoint snapshots, and output
-#     sizing are line-level
-#     cold-path escapes that stay lexically inside the function, so
-#     their bodies legitimately contain allocator calls.
+#   * TraceSim::replay (the one replay loop, one symbol per
+#     placement policy) and decodeColumnar are covered by the
+#     analyzer but not checked here: their phase setup, checkpoint
+#     snapshots, and output sizing are line-level cold-path escapes
+#     that stay lexically inside the function, so their bodies
+#     legitimately contain allocator calls. TraceSim::run, which
+#     builds the policy and calls replay, is checked: replay and the
+#     tracker policy's constructor are outlined (STARNUMA_HOT_ROOT)
+#     to keep it so.
 #   * Indirect calls (`call *%rax`) carry no symbol and cannot be
 #     checked; the analyzer's over-approximation covers those.
 #

@@ -14,11 +14,10 @@ namespace core
 {
 
 MigrationEngine::MigrationEngine(const MigrationConfig &config,
-                                 int n_sockets, bool has_pool,
-                                 Addr region_bytes,
+                                 int n_sockets, Addr region_bytes,
                                  std::uint64_t seed)
-    : cfg(config), sockets(n_sockets), hasPool(has_pool),
-      poolNode(n_sockets), regionBytes(region_bytes),
+    : cfg(config), sockets(n_sockets), poolNode(n_sockets),
+      regionBytes(region_bytes),
       pagesPerRegion(starnuma::pagesPerRegion(region_bytes)),
       rng(seed), hi(config.hiThresholdStart),
       lo(config.loThresholdStart), migrated_(0), toPool_(0),
@@ -199,8 +198,7 @@ MigrationEngine::decidePhase(RegionTracker &tracker,
             continue;
 
         NodeId best;
-        if (hasPool && cfg.poolEnabled &&
-            e.sharerCount() >= cfg.poolSharerThreshold) {
+        if (e.sharerCount() >= cfg.poolSharerThreshold) {
             best = poolNode;
         } else if (!cfg.randomSharerReshuffle && curr != poolNode &&
                    curr < 64 && (e.sharerMask & (1ULL << curr))) {

@@ -69,9 +69,6 @@ struct MigrationConfig
     /** Sharing degree at which the pool becomes the destination. */
     int poolSharerThreshold = 8;
 
-    /** False on the baseline system (no pool destination). */
-    bool poolEnabled = true;
-
     /**
      * Algorithm 1 literally picks random(region.sharers) as the
      * destination of narrowly shared regions, which reshuffles
@@ -93,13 +90,16 @@ struct RegionMigration
     bool victimEviction; ///< emitted to make room at the pool
 };
 
-/** The per-phase migration decision engine. */
+/**
+ * The per-phase migration decision engine of a pool system: a
+ * region shared by poolSharerThreshold sockets or more targets the
+ * pool.
+ */
 class MigrationEngine
 {
   public:
     MigrationEngine(const MigrationConfig &config, int n_sockets,
-                    bool has_pool, Addr region_bytes,
-                    std::uint64_t seed = 1);
+                    Addr region_bytes, std::uint64_t seed = 1);
 
     /**
      * Run Algorithm 1 over the tracker's touched regions. Applies
@@ -115,7 +115,6 @@ class MigrationEngine
         std::uint64_t pool_capacity_pages, int phase);
 
     std::uint32_t hiThreshold() const { return hi; }
-    std::uint32_t loThreshold() const { return lo; }
 
     // Cumulative stats across phases (Table IV input).
     std::uint64_t migratedRegions() const { return migrated_; }
@@ -149,7 +148,6 @@ class MigrationEngine
 
     MigrationConfig cfg;
     int sockets;
-    bool hasPool;
     NodeId poolNode;
     Addr regionBytes;
     int pagesPerRegion;

@@ -61,8 +61,6 @@ class OraclePlacement
                         std::uint64_t pool_capacity_pages,
                         int pool_sharer_threshold = 8);
 
-    const PageAccessStats &accessStats() const { return stats; }
-
   private:
     PageAccessStats stats;
 };

@@ -77,13 +77,6 @@ class PageAccessStats
     /** Socket with the most accesses to @p page (-1 if untouched). */
     NodeId majoritySocket(PageNum page) const;
 
-    /** Pages with at least one access. */
-    std::size_t
-    touchedPages() const
-    {
-        return flat.empty() ? pageCounts.size() : order.size();
-    }
-
     int sockets() const { return sockets_; }
 
     /**

@@ -25,8 +25,7 @@ toPowerOfTwo(std::size_t v)
 TlbAnnex::TlbAnnex(const TlbConfig &config,
                    RegionTracker &owning_tracker, NodeId socket_id)
     : tracker(owning_tracker), socket(socket_id),
-      ways(config.ways),
-      useClock(0), hits_(0), misses_(0), flushes_(0)
+      ways(config.ways), useClock(0), hits_(0), misses_(0)
 {
     sn_assert(config.entries >= config.ways && config.ways > 0,
               "bad TLB geometry");
@@ -57,7 +56,6 @@ TlbAnnex::flushEntry(Entry &e)
                    counterMax == 0 ? 0 : e.counter);
     e.counter = 0;
     e.marker = false;
-    ++flushes_;
 }
 
 // lint: hot-path one lookup per LLC-missing access

@@ -74,7 +74,6 @@ class TlbAnnex
 
     std::uint64_t tlbMisses() const { return misses_; }
     std::uint64_t tlbHits() const { return hits_; }
-    std::uint64_t annexFlushes() const { return flushes_; }
 
     /**
      * Attach the DiDi-style shared TLB directory (§III-D3): fills
@@ -112,7 +111,6 @@ class TlbAnnex
     std::uint64_t useClock;
     std::uint64_t hits_;
     std::uint64_t misses_;
-    std::uint64_t flushes_;
 };
 
 } // namespace core

@@ -143,8 +143,6 @@ policyFingerprint(const SystemSetup &setup)
               m.scaleLimitToFootprint ? 1 : 0));
     field(t, "poolSharerThreshold",
           static_cast<std::uint64_t>(m.poolSharerThreshold));
-    field(t, "poolEnabled",
-          static_cast<std::uint64_t>(m.poolEnabled ? 1 : 0));
     field(t, "randomSharerReshuffle",
           static_cast<std::uint64_t>(
               m.randomSharerReshuffle ? 1 : 0));

@@ -359,11 +359,6 @@ runSingleSocket(const std::string &workload, const SimScale &scale)
     options.independentPhases = true;
     TimingSim timing(setup, scale, options);
     RunMetrics m = timing.run(trace, placement);
-
-    // The reference reports no traceSim stats subtree: every access
-    // is local, so the placement engine's counters describe nothing
-    // the timing run used.
-    placement.stats = obs::Snapshot();
     observeRun(workload + ".single-socket", m, timing, placement);
     return m;
 }

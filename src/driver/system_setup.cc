@@ -5,40 +5,22 @@ namespace starnuma
 namespace driver
 {
 
-namespace
-{
-
-SystemSetup
-make(const char *name, topology::SystemConfig sys, bool pool)
-{
-    SystemSetup s;
-    s.name = name;
-    s.sys = std::move(sys);
-    s.migration.poolEnabled = pool;
-    return s;
-}
-
-} // anonymous namespace
-
 SystemSetup
 SystemSetup::baseline()
 {
-    return make("baseline", topology::SystemConfig::baseline16(),
-                false);
+    return {"baseline", topology::SystemConfig::baseline16()};
 }
 
 SystemSetup
 SystemSetup::starnuma()
 {
-    return make("starnuma-t16", topology::SystemConfig::starnuma16(),
-                true);
+    return {"starnuma-t16", topology::SystemConfig::starnuma16()};
 }
 
 SystemSetup
 SystemSetup::starnumaT0()
 {
-    SystemSetup s = make("starnuma-t0",
-                         topology::SystemConfig::starnuma16(), true);
+    SystemSetup s{"starnuma-t0", topology::SystemConfig::starnuma16()};
     s.migration.counterBits = 0;
     return s;
 }
@@ -46,36 +28,32 @@ SystemSetup::starnumaT0()
 SystemSetup
 SystemSetup::starnumaSwitched()
 {
-    return make("starnuma-switched",
-                topology::SystemConfig::starnumaSwitched(), true);
+    return {"starnuma-switched", topology::SystemConfig::starnumaSwitched()};
 }
 
 SystemSetup
 SystemSetup::baselineIsoBW()
 {
-    return make("baseline-iso-bw",
-                topology::SystemConfig::baselineIsoBW(), false);
+    return {"baseline-iso-bw", topology::SystemConfig::baselineIsoBW()};
 }
 
 SystemSetup
 SystemSetup::baseline2xBW()
 {
-    return make("baseline-2x-bw",
-                topology::SystemConfig::baseline2xBW(), false);
+    return {"baseline-2x-bw", topology::SystemConfig::baseline2xBW()};
 }
 
 SystemSetup
 SystemSetup::starnumaHalfBW()
 {
-    return make("starnuma-half-bw",
-                topology::SystemConfig::starnumaHalfBW(), true);
+    return {"starnuma-half-bw", topology::SystemConfig::starnumaHalfBW()};
 }
 
 SystemSetup
 SystemSetup::starnumaSmallPool()
 {
-    return make("starnuma-small-pool",
-                topology::SystemConfig::starnumaSmallPool(), true);
+    return {"starnuma-small-pool",
+            topology::SystemConfig::starnumaSmallPool()};
 }
 
 SystemSetup

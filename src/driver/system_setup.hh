@@ -39,7 +39,7 @@ struct SystemSetup
 {
     std::string name;
     topology::SystemConfig sys;
-    core::MigrationConfig migration;
+    core::MigrationConfig migration{};
     Placement placement = Placement::FirstTouchDynamic;
 
     /** Region size used by the tracker/engine. The paper uses 512 KB
@@ -49,7 +49,7 @@ struct SystemSetup
 
     /** §V-F alternative: replicate read-only widely shared pages. */
     bool replicateReadOnly = false;
-    core::ReplicationConfig replication;
+    core::ReplicationConfig replication{};
 
     // --- §V configurations ---
 

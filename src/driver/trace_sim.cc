@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "core/oracle.hh"
 #include "core/region_tracker.hh"
@@ -40,25 +41,6 @@ NodeId
 TraceSim::socketOf(ThreadId t) const
 {
     return t / scale.coresPerSocket;
-}
-
-// lint: hot-path root of the whole replay: everything reachable
-// from here runs per record unless explicitly marked cold.
-TraceSimResult
-TraceSim::run(const trace::WorkloadTrace &trace)
-{
-    sn_assert(trace.threads == scale.threads(),
-              "trace captured for %d threads, scale expects %d",
-              trace.threads, scale.threads());
-    TraceSimResult result =
-        setup.placement == Placement::StaticOracle
-            ? runStaticOracle(trace)
-            : runDynamic(trace);
-    if (setup.replicateReadOnly)
-        result.replication = core::planReplication(
-            trace, scale.coresPerSocket, setup.sys.sockets,
-            setup.replication);
-    return result;
 }
 
 // lint: cold-path one span per replay or timing run
@@ -111,79 +93,300 @@ snapshot(const mem::PageMap &pm)
 }
 
 /**
- * Stream handles and delta state of the replay's per-phase
- * telemetry (DESIGN.md §14). An aggregate with no user constructor
- * so declaring one stays off the hot path; all real work happens in
- * the cold helpers below, sampled once per migration phase with the
- * phase number as timestamp.
+ * Feed @p recs from cursor @p i through instruction @p end to @p fn
+ * as page runs, leaving @p i past @p end. Consecutive records to
+ * one page replay as one batch: the page is mapped and TLB-resident
+ * after the first, so the rest are pure counter updates.
  */
-struct ReplayTelemetry
+template <typename Fn>
+inline void
+forEachPageRun(const std::vector<trace::MemRecord> &recs,
+               std::size_t &i, std::uint64_t end, Fn &&fn)
 {
-    obs::TimeSeries::StreamId poolPages = 0;
-    obs::TimeSeries::StreamId tlbMisses = 0;
-    obs::TimeSeries::StreamId tlbMissRate = 0;
-    obs::TimeSeries::StreamId migratedPages = 0;
-    obs::TimeSeries::StreamId shootdowns = 0;
-    std::uint64_t lastMisses = 0;
-    std::uint64_t lastAccesses = 0;
-    std::uint64_t lastShootdowns = 0;
-};
-
-// lint: cold-path telemetry stream registration, once per run when
-// the run sink is enabled
-STARNUMA_COLD_PATH void
-initReplayTelemetry(ReplayTelemetry &t, obs::TimeSeries &series,
-                    bool star, int phases)
-{
-    std::size_t cap = static_cast<std::size_t>(phases);
-    t.migratedPages = series.addStream("migratedPages", cap);
-    if (!star)
-        return;
-    t.poolPages = series.addStream("poolPages", cap);
-    t.tlbMisses = series.addStream("tlbMisses", cap);
-    t.tlbMissRate = series.addStream("tlbMissRate", cap);
-    t.shootdowns = series.addStream("shootdownsSent", cap);
+    while (i < recs.size() && recs[i].instr <= end) {
+        PageNum page = pageNumber(recs[i].vaddr());
+        std::size_t j = i + 1;
+        while (j < recs.size() && recs[j].instr <= end &&
+               pageNumber(recs[j].vaddr()) == page)
+            ++j;
+        fn(recs[i].vaddr(), page, std::uint64_t(j - i));
+        i = j;
+    }
 }
 
-// lint: cold-path once-per-phase telemetry sample, behind the
-// per-run sink gate
-STARNUMA_COLD_PATH void
-sampleReplayPhase(ReplayTelemetry &t, obs::TimeSeries &series,
-                  std::uint64_t phase, std::uint64_t regions_moved,
-                  std::uint64_t pages_moved, bool star,
-                  const core::RegionTracker &tracker,
-                  const mem::PageMap &pm, NodeId pool_node,
-                  const std::vector<core::TlbAnnex> &tlbs,
-                  const core::TlbDirectory &tlb_dir)
+/**
+ * No-op defaults of the placement-policy operations the replay loop
+ * calls (DESIGN.md §12), for a policy to inherit or hide. Every
+ * policy also has preallocate(base, pages) for the dense span and
+ * recordRun(thread, socket, vaddr, page, count) for one page run; a
+ * staticPlacement policy is fed the whole run up front and place()s
+ * every page once, with no migrations and no telemetry.
+ */
+struct PolicyHooks
 {
-    std::uint64_t migrated =
-        regions_moved *
-            static_cast<std::uint64_t>(tracker.pagesPerRegion()) +
-        pages_moved;
-    series.sample(t.migratedPages, phase,
-                  static_cast<double>(migrated));
-    if (!star)
-        return;
-    series.sample(t.poolPages, phase,
-                  static_cast<double>(pm.pagesAt(pool_node)));
-    std::uint64_t misses = 0, accesses = 0;
-    for (const core::TlbAnnex &tlb : tlbs) {
-        misses += tlb.tlbMisses();
-        accesses += tlb.tlbMisses() + tlb.tlbHits();
+    static constexpr bool staticPlacement = false;
+
+    /** Top of a phase, before its records. */
+    void beginPhase() {}
+    /** After 1-based @c phase; its migrations go into @c next. */
+    void endPhase(mem::PageMap &, int, Checkpoint &) {}
+    void addStreams(obs::TimeSeries &, std::size_t) {}
+    void samplePhase(obs::TimeSeries &, std::uint64_t,
+                     const mem::PageMap &)
+    {
     }
-    std::uint64_t dm = misses - t.lastMisses;
-    std::uint64_t da = accesses - t.lastAccesses;
-    series.sample(t.tlbMisses, phase, static_cast<double>(dm));
-    series.sample(t.tlbMissRate, phase,
-                  da ? static_cast<double>(dm) /
-                           static_cast<double>(da)
-                     : 0.0);
-    t.lastMisses = misses;
-    t.lastAccesses = accesses;
-    std::uint64_t sent = tlb_dir.shootdownsSent();
-    series.sample(t.shootdowns, phase,
-                  static_cast<double>(sent - t.lastShootdowns));
-    t.lastShootdowns = sent;
+    /** Result counters, plus stats and audit log when observed. */
+    void finish(TraceSimResult &, bool) const {}
+};
+
+/**
+ * StarNUMA (§III-D): per-core TLB annexes fold LLC-missing accesses
+ * into the shared T_i region tracker, Algorithm 1 picks the region
+ * migrations at each phase end, and the DiDi-style TLB directory
+ * (§III-D3) targets their shootdowns.
+ */
+class TrackerPolicy : public PolicyHooks
+{
+  public:
+    // lint: cold-path per-run policy construction, before replay.
+    // Outlined to keep its allocations out of run(), but not cold: a
+    // cold call there would make GCC treat the replay as cold too.
+    STARNUMA_HOT_ROOT
+    TrackerPolicy(const SystemSetup &setup,
+                  const core::MigrationConfig &mig,
+                  const trace::WorkloadTrace &trace,
+                  std::uint64_t pool_pages, int cores_per_socket)
+        : poolPages(pool_pages), poolNode(setup.sys.poolNode()),
+          tracker(mig.counterBits, setup.sys.sockets,
+                  setup.regionBytes),
+          // Per-task RNG stream: the engine's tie-break generator
+          // is seeded from the task identity (workload, config),
+          // never shared between experiments, so concurrent sweep
+          // entries draw the same sequences they would serially.
+          engine(mig, setup.sys.sockets, setup.regionBytes,
+                 taskSeed({trace.workload, setup.name})),
+          directory(trace.threads)
+    {
+        tlbs.reserve(trace.threads);
+        for (ThreadId t = 0; t < trace.threads; ++t) {
+            // lint: cold-path per-run TLB construction
+            tlbs.emplace_back(core::TlbConfig{}, tracker,
+                              t / cores_per_socket);
+            tlbs.back().attachDirectory(&directory, t);
+        }
+    }
+
+    // The annexes point at the tracker and the directory.
+    TrackerPolicy(const TrackerPolicy &) = delete;
+
+    // lint: cold-path one-time setup before the replay loop
+    void
+    preallocate(PageNum base, std::size_t pages)
+    {
+        core::RegionId first = tracker.regionOf(pageBase(base));
+        core::RegionId last =
+            tracker.regionOf(pageBase(base + PageNum(pages - 1)));
+        tracker.preallocate(first, last - first + 1);
+        directory.preallocate(base, pages);
+    }
+
+    void
+    beginPhase()
+    {
+        // Marker bits are set once per migration phase so hot,
+        // never-evicted TLB entries still report (§III-D1).
+        for (core::TlbAnnex &tlb : tlbs)
+            tlb.setMarkers();
+    }
+
+    // lint: hot-path one batched annex update per replayed page run
+    void
+    recordRun(ThreadId t, NodeId, Addr vaddr, PageNum, std::uint64_t n)
+    {
+        tlbs[t].recordAccessRun(vaddr, n);
+    }
+
+    // lint: cold-path Algorithm 1 and its shootdowns, once per phase
+    void
+    endPhase(mem::PageMap &pm, int phase, Checkpoint &next)
+    {
+        for (core::TlbAnnex &tlb : tlbs)
+            tlb.flushAll();
+        next.regionMigrations =
+            engine.decidePhase(tracker, pm, poolPages, phase);
+        // DiDi-style shootdowns: each migrated page only interrupts
+        // the cores whose TLBs hold it (§III-D3).
+        int ppr = tracker.pagesPerRegion();
+        for (const core::RegionMigration &m : next.regionMigrations) {
+            PageNum first = tracker.firstPage(m.region);
+            for (int p = 0; p < ppr; ++p) {
+                PageNum page = first + PageNum(p);
+                core::TlbHolderMask mask = directory.holders(page);
+                directory.shootdown(page);
+                for (std::size_t t = 0; t < tlbs.size(); ++t)
+                    if (mask.test(static_cast<ThreadId>(t)))
+                        tlbs[t].shootdown(page);
+            }
+        }
+    }
+
+    // lint: cold-path telemetry stream registration, once per run
+    // when the run sink is enabled
+    STARNUMA_COLD_PATH void
+    addStreams(obs::TimeSeries &series, std::size_t cap)
+    {
+        poolPagesStream = series.addStream("poolPages", cap);
+        tlbMissesStream = series.addStream("tlbMisses", cap);
+        tlbMissRateStream = series.addStream("tlbMissRate", cap);
+        shootdownsStream = series.addStream("shootdownsSent", cap);
+    }
+
+    // lint: cold-path once-per-phase telemetry sample, behind the
+    // per-run sink gate
+    STARNUMA_COLD_PATH void
+    samplePhase(obs::TimeSeries &series, std::uint64_t phase,
+                const mem::PageMap &pm)
+    {
+        series.sample(poolPagesStream, phase,
+                      static_cast<double>(pm.pagesAt(poolNode)));
+        std::uint64_t misses = 0, accesses = 0;
+        for (const core::TlbAnnex &tlb : tlbs) {
+            misses += tlb.tlbMisses();
+            accesses += tlb.tlbMisses() + tlb.tlbHits();
+        }
+        std::uint64_t dm = misses - lastMisses;
+        std::uint64_t da = accesses - lastAccesses;
+        series.sample(tlbMissesStream, phase, static_cast<double>(dm));
+        series.sample(tlbMissRateStream, phase,
+                      da ? static_cast<double>(dm) /
+                               static_cast<double>(da)
+                         : 0.0);
+        lastMisses = misses;
+        lastAccesses = accesses;
+        std::uint64_t sent = directory.shootdownsSent();
+        series.sample(shootdownsStream, phase,
+                      static_cast<double>(sent - lastShootdowns));
+        lastShootdowns = sent;
+    }
+
+    // lint: cold-path once-per-run counters and stats export
+    void
+    finish(TraceSimResult &result, bool observed) const
+    {
+        result.migratedRegions = engine.migratedRegions();
+        result.migratedPagesTotal =
+            engine.migratedRegions() * tracker.pagesPerRegion();
+        result.poolMigrationFraction = engine.poolMigrationFraction();
+        result.victimEvictions = engine.victimEvictions();
+        result.pingPongSuppressed = engine.pingPongSuppressed();
+        result.tlbShootdownsSent = directory.shootdownsSent();
+        result.tlbShootdownsSaved = directory.shootdownsSaved();
+        if (observed) {
+            obs::Registry reg;
+            engine.registerStats(reg, "engine");
+            directory.registerStats(reg, "tlbDirectory");
+            result.stats = reg.snapshot();
+            result.audit = engine.audit();
+        }
+    }
+
+  private:
+    std::uint64_t poolPages;
+    NodeId poolNode;
+    core::RegionTracker tracker;
+    core::MigrationEngine engine;
+    core::TlbDirectory directory;
+    std::vector<core::TlbAnnex> tlbs;
+    // Telemetry stream handles and the totals last sampled.
+    obs::TimeSeries::StreamId poolPagesStream = 0, tlbMissesStream = 0,
+                              tlbMissRateStream = 0,
+                              shootdownsStream = 0;
+    std::uint64_t lastMisses = 0, lastAccesses = 0, lastShootdowns = 0;
+};
+
+/**
+ * Baseline (§IV-C): zero-cost per-socket knowledge of every access
+ * to every page each phase; the hottest mis-placed pages move to
+ * their majority socket under the StarNUMA migration budget.
+ */
+struct PerfectPolicy : PolicyHooks, core::PerfectPagePolicy
+{
+    using PerfectPagePolicy::PerfectPagePolicy;
+
+    // lint: hot-path one count per replayed page run
+    void
+    recordRun(ThreadId, NodeId socket, Addr, PageNum page, std::uint64_t n)
+    {
+        recordAccess(page, socket, static_cast<std::uint32_t>(n));
+    }
+
+    // lint: cold-path end-of-phase decision, once per phase
+    void
+    endPhase(mem::PageMap &pm, int, Checkpoint &next)
+    {
+        next.pageMigrations = decidePhase(pm);
+    }
+
+    void
+    finish(TraceSimResult &result, bool) const
+    {
+        result.migratedPagesTotal = migratedPages();
+    }
+};
+
+/**
+ * The §V-B static oracle: a priori knowledge of the whole run
+ * places every page once, before the first phase, with the hottest
+ * widely shared pages in the pool when there is one. Pages touched
+ * only during setup keep their first touch.
+ */
+struct OraclePolicy : PolicyHooks, core::OraclePlacement
+{
+    static constexpr bool staticPlacement = true;
+
+    OraclePolicy(const SystemSetup &system_setup, std::uint64_t pool)
+        : OraclePlacement(system_setup.sys.sockets),
+          setup(system_setup), poolPages(pool)
+    {
+    }
+
+    // lint: hot-path one count per replayed page run
+    void
+    recordRun(ThreadId, NodeId socket, Addr, PageNum page, std::uint64_t n)
+    {
+        recordAccess(page, socket, static_cast<std::uint32_t>(n));
+    }
+
+    void
+    place(mem::PageMap &pm)
+    {
+        OraclePlacement::place(pm, setup.sys.hasPool, poolPages,
+                               setup.migration.poolSharerThreshold);
+    }
+
+    const SystemSetup &setup;
+    std::uint64_t poolPages;
+};
+
+/**
+ * The loop's own time series (DESIGN.md §14): per phase, the pages
+ * moved by the migrations its end decided, which the next
+ * checkpoint carries (@p last for the last phase).
+ */
+// lint: cold-path once-per-run telemetry export, behind the run-sink
+// gate
+STARNUMA_COLD_PATH void
+addMigratedPages(obs::TimeSeries &series,
+                 const std::vector<Checkpoint> &cps, const Checkpoint &last,
+                 int pages_per_region)
+{
+    obs::TimeSeries::StreamId s =
+        series.addStream("migratedPages", cps.size());
+    for (std::size_t p = 1; p <= cps.size(); ++p) {
+        const Checkpoint &decided = p < cps.size() ? cps[p] : last;
+        series.sample(s, p, static_cast<double>(
+                                decided.migratedPages(pages_per_region)));
+    }
 }
 
 // Checkpoint artifact format v2 ("STARCKP2"): varint/delta coded
@@ -214,37 +417,16 @@ getDouble(trace::ByteReader &r, double &v)
     return true;
 }
 
-PageNum
-pageOf(const std::pair<PageNum, NodeId> &kv)
-{
-    return kv.first;
-}
-
-PageNum
-pageOf(PageNum page)
-{
-    return page;
-}
-
-/** Sorted copy of the pages in a flat page set/map. */
-template <typename Pages>
-std::vector<PageNum>
-sortedPages(const Pages &source)
-{
-    std::vector<PageNum> out;
-    out.reserve(source.size());
-    for (const auto &entry : source)
-        out.push_back(pageOf(entry));
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 void
 putPageHome(std::vector<std::uint8_t> &buf,
             const FlatMap<PageNum, NodeId> &home)
 {
     putVarint(buf, home.size());
-    std::vector<PageNum> sorted = sortedPages(home);
+    std::vector<PageNum> sorted;
+    sorted.reserve(home.size());
+    for (const auto &entry : home)
+        sorted.push_back(entry.first);
+    std::sort(sorted.begin(), sorted.end());
     std::uint64_t prev = 0;
     for (PageNum page : sorted) {
         putVarint(buf, page.value() - prev);
@@ -354,283 +536,130 @@ getPageMigrations(trace::ByteReader &r,
     return true;
 }
 
-void
-encodeCheckpoint(std::vector<std::uint8_t> &buf,
-                 const Checkpoint &cp)
-{
-    putPageHome(buf, cp.pageHome);
-    putRegionMigrations(buf, cp.regionMigrations);
-    putPageMigrations(buf, cp.pageMigrations);
-}
-
-bool
-decodeCheckpoint(trace::ByteReader &r, Checkpoint &cp)
-{
-    return getPageHome(r, cp.pageHome) &&
-           getRegionMigrations(r, cp.regionMigrations) &&
-           getPageMigrations(r, cp.pageMigrations);
-}
-
 } // anonymous namespace
 
-// lint: artifact-root step_b_checkpoint
-TraceSimResult
-TraceSim::runDynamic(const trace::WorkloadTrace &trace)
+// The one replay loop, its own symbol per policy so the per-run
+// allocations stay out of run(), which check_hotpath_syms.sh audits.
+template <typename Policy>
+STARNUMA_HOT_ROOT void
+TraceSim::replay(const trace::WorkloadTrace &trace, Policy &policy,
+                 TraceSimResult &result)
 {
-    const bool star = setup.sys.hasPool;
-    const int nodes = setup.sys.sockets + (star ? 1 : 0);
-
-    TraceSimResult result;
-    result.footprintPages = pagesIn(trace.footprintBytes);
-    result.poolCapacityPages =
-        star ? static_cast<std::uint64_t>(
-                   static_cast<double>(result.footprintPages) *
-                   setup.sys.poolCapacityFraction)
-             : 0;
-
+    mem::PageMap pm(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0));
     // Captured traces cover one dense page range; give every
     // page/region table flat array storage over it (identical
     // behavior, array indexing instead of hashing on the hot path).
     // Sparse hand-built traces keep the FlatMap storage.
-    const PageSpan dense = densePageSpan(trace);
-    const PageNum spanLo = dense.lo;
-    const std::uint64_t spanPages = dense.pages;
-
-    mem::PageMap pm(nodes);
-
-    // Scale the per-phase migration budget to the footprint so the
-    // modeled migration traffic stays proportional to the shrunken
-    // phase length (the paper tunes an absolute limit per workload
-    // at its own scale, §IV-C).
-    core::MigrationConfig mig_cfg = setup.migration;
-    if (mig_cfg.scaleLimitToFootprint) {
-        mig_cfg.migrationLimitPages =
-            static_cast<std::uint32_t>(std::max<std::uint64_t>(
-                64, static_cast<std::uint64_t>(
-                        static_cast<double>(
-                            result.footprintPages) *
-                        mig_cfg.migrationLimitFraction)));
-    }
-
-    // StarNUMA machinery: shared metadata region, per-core TLB
-    // annexes, Algorithm 1 engine.
-    core::RegionTracker tracker(mig_cfg.counterBits,
-                                setup.sys.sockets,
-                                setup.regionBytes);
-    if (spanPages > 0) {
-        core::RegionId first = tracker.regionOf(pageBase(spanLo));
-        core::RegionId last = tracker.regionOf(pageBase(dense.last()));
-        tracker.preallocate(first, last - first + 1);
-    }
-    std::vector<core::TlbAnnex> tlbs;
-    // Per-task RNG stream: the engine's tie-break generator is
-    // seeded from the task identity (workload, config), never shared
-    // between experiments, so concurrent sweep entries draw the same
-    // sequences they would serially.
-    core::MigrationEngine engine(mig_cfg, setup.sys.sockets, star,
-                                 setup.regionBytes,
-                                 taskSeed({trace.workload,
-                                           setup.name}));
-    core::TlbDirectory tlb_dir(trace.threads);
-    if (star) {
-        // lint: cold-path per-run TLB construction, before replay
-        tlbs.reserve(trace.threads);
-        for (ThreadId t = 0; t < trace.threads; ++t) {
-            // lint: cold-path per-run TLB construction
-            tlbs.emplace_back(core::TlbConfig{}, tracker,
-                              socketOf(t));
-            tlbs.back().attachDirectory(&tlb_dir, t);
-        }
-    }
-
-    // Baseline machinery: zero-cost perfect page knowledge, same
-    // migration budget as StarNUMA gets.
-    core::PerfectPagePolicy perfect(setup.sys.sockets,
-                                    mig_cfg.migrationLimitPages);
-    if (!star && spanPages > 0)
-        perfect.preallocate(spanLo, spanPages);
-
-    std::vector<std::size_t> cursor(trace.threads, 0);
-    std::vector<core::RegionMigration> pending_regions;
-    std::vector<core::PageMigration> pending_pages;
-
-    if (spanPages > 0) {
-        pm.preallocate(spanLo, spanPages);
-        if (star)
-            tlb_dir.preallocate(spanLo, spanPages);
+    const PageSpan span = densePageSpan(trace);
+    if (span.pages > 0) {
+        pm.preallocate(span.lo, span.pages);
+        policy.preallocate(span.lo, span.pages);
     }
     for (const auto &ft : trace.firstTouches)
         pm.touch(ft.page, socketOf(ft.thread));
 
+    std::vector<std::size_t> cursor(trace.threads, 0);
+    if constexpr (Policy::staticPlacement) {
+        // A priori knowledge: the whole run, before the first phase,
+        // which leaves the phases no records to replay.
+        for (ThreadId t = 0; t < trace.threads; ++t) {
+            NodeId socket = socketOf(t);
+            forEachPageRun(trace.perThread[t], cursor[t],
+                           ~std::uint64_t(0),
+                           [&](Addr vaddr, PageNum page,
+                               std::uint64_t n) {
+                               policy.recordRun(t, socket, vaddr,
+                                                page, n);
+                           });
+        }
+        policy.place(pm);
+    }
+
     // lint: cold-path once-per-run run-sink gate behind one relaxed
     // load; off in benchmarked replay.
-    const bool observed = obs::RunSink::global().enabled();
-    ReplayTelemetry telemetry;
+    const bool observed = obs::RunSink::global().enabled() &&
+                          !Policy::staticPlacement;
     if (observed)
-        initReplayTelemetry(telemetry, result.timeseries, star,
-                            scale.phases);
+        policy.addStreams(result.timeseries, scale.phases);
 
+    Checkpoint next; // the migrations decided by the last phase end
     for (int phase = 0; phase < scale.phases; ++phase) {
-        Checkpoint cp;
+        Checkpoint cp = std::exchange(next, Checkpoint());
         cp.pageHome = snapshot(pm);
-        cp.regionMigrations = std::move(pending_regions);
-        cp.pageMigrations = std::move(pending_pages);
-        pending_regions.clear();
-        pending_pages.clear();
 
         std::uint64_t phase_end =
             static_cast<std::uint64_t>(phase + 1) *
             scale.phaseInstructions;
-
-        if (star) {
-            // Marker bits are set once per migration phase so hot,
-            // never-evicted TLB entries still report (§III-D1).
-            for (auto &tlb : tlbs)
-                tlb.setMarkers();
-        }
-
+        policy.beginPhase();
         for (ThreadId t = 0; t < trace.threads; ++t) {
-            const auto &recs = trace.perThread[t];
             NodeId socket = socketOf(t);
-            std::size_t &i = cursor[t];
-            while (i < recs.size() && recs[i].instr <= phase_end) {
-                PageNum page = pageNumber(recs[i].vaddr());
-                // Consecutive records to the same page replay as
-                // one batch: the page is mapped and TLB-resident
-                // after the first access, so the remainder are
-                // pure counter updates (identical results).
-                std::size_t j = i + 1;
-                while (j < recs.size() &&
-                       recs[j].instr <= phase_end &&
-                       pageNumber(recs[j].vaddr()) == page)
-                    ++j;
-                std::uint64_t run = j - i;
-                pm.touch(page, socket);
-                if (star)
-                    tlbs[t].recordAccessRun(recs[i].vaddr(), run);
-                else
-                    perfect.recordAccess(
-                        page, socket,
-                        static_cast<std::uint32_t>(run));
-                i = j;
-            }
+            forEachPageRun(trace.perThread[t], cursor[t], phase_end,
+                           [&](Addr vaddr, PageNum page,
+                               std::uint64_t n) {
+                               pm.touch(page, socket);
+                               policy.recordRun(t, socket, vaddr,
+                                                page, n);
+                           });
         }
-
-        if (star) {
-            for (auto &tlb : tlbs)
-                tlb.flushAll();
-            pending_regions = engine.decidePhase(
-                tracker, pm, result.poolCapacityPages, phase + 1);
-            // DiDi-style shootdowns: each migrated page only
-            // interrupts the cores whose TLBs hold it (§III-D3).
-            int ppr = tracker.pagesPerRegion();
-            for (const auto &m : pending_regions) {
-                PageNum first = tracker.firstPage(m.region);
-                for (int p = 0; p < ppr; ++p) {
-                    PageNum page = first + PageNum(p);
-                    core::TlbHolderMask mask =
-                        tlb_dir.holders(page);
-                    tlb_dir.shootdown(page);
-                    for (ThreadId t = 0; t < trace.threads; ++t)
-                        if (mask.test(t))
-                            tlbs[t].shootdown(page);
-                }
-            }
-        } else {
-            pending_pages = perfect.decidePhase(pm);
-        }
+        policy.endPhase(pm, phase + 1, next);
         if (observed)
-            sampleReplayPhase(telemetry, result.timeseries,
-                              static_cast<std::uint64_t>(phase + 1),
-                              pending_regions.size(),
-                              pending_pages.size(), star, tracker,
-                              pm, setup.sys.poolNode(), tlbs,
-                              tlb_dir);
+            policy.samplePhase(result.timeseries, phase + 1, pm);
         // lint: cold-path one checkpoint per phase
         result.checkpoints.push_back(std::move(cp));
     }
 
-    result.migratedRegions = engine.migratedRegions();
-    result.migratedPagesTotal =
-        engine.migratedRegions() * tracker.pagesPerRegion() +
-        perfect.migratedPages();
-    result.poolMigrationFraction = engine.poolMigrationFraction();
-    result.victimEvictions = engine.victimEvictions();
-    result.pingPongSuppressed = engine.pingPongSuppressed();
-    if (star) {
+    if (observed)
+        addMigratedPages(result.timeseries, result.checkpoints, next,
+                         pagesPerRegion(setup.regionBytes));
+    if (setup.sys.hasPool)
         result.pagesInPool = pm.pagesAt(setup.sys.poolNode());
-        result.tlbShootdownsSent = tlb_dir.shootdownsSent();
-        result.tlbShootdownsSaved = tlb_dir.shootdownsSaved();
-    }
-    // lint: cold-path once-per-run stats and audit export behind
-    // the run-sink gate above; off in benchmarked replay.
-    if (observed) {
-        obs::Registry reg;
-        engine.registerStats(reg, "engine");
-        if (star)
-            tlb_dir.registerStats(reg, "tlbDirectory");
-        result.stats = reg.snapshot();
-        result.audit = engine.audit();
-    }
-    return result;
+    policy.finish(result, observed);
 }
 
+// lint: hot-path root of the whole replay: everything reachable
+// from here runs per record unless explicitly marked cold.
 // lint: artifact-root step_b_checkpoint
 TraceSimResult
-TraceSim::runStaticOracle(const trace::WorkloadTrace &trace)
+TraceSim::run(const trace::WorkloadTrace &trace)
 {
-    const bool star = setup.sys.hasPool;
-    const int nodes = setup.sys.sockets + (star ? 1 : 0);
-
+    sn_assert(trace.threads == scale.threads(),
+              "trace captured for %d threads, scale expects %d",
+              trace.threads, scale.threads());
     TraceSimResult result;
     result.footprintPages = pagesIn(trace.footprintBytes);
-    result.poolCapacityPages =
-        star ? static_cast<std::uint64_t>(
-                   static_cast<double>(result.footprintPages) *
-                   setup.sys.poolCapacityFraction)
-             : 0;
+    if (setup.sys.hasPool)
+        result.poolCapacityPages = static_cast<std::uint64_t>(
+            static_cast<double>(result.footprintPages) *
+            setup.sys.poolCapacityFraction);
 
-    const PageSpan dense = densePageSpan(trace);
-    const PageNum spanLo = dense.lo;
-    const std::uint64_t spanPages = dense.pages;
-
-    // A priori knowledge: feed the whole run into the oracle.
-    core::OraclePlacement oracle(setup.sys.sockets);
-    if (spanPages > 0)
-        oracle.preallocate(spanLo, spanPages);
-    for (ThreadId t = 0; t < trace.threads; ++t) {
-        const auto &recs = trace.perThread[t];
-        NodeId socket = socketOf(t);
-        for (std::size_t i = 0; i < recs.size();) {
-            PageNum page = pageNumber(recs[i].vaddr());
-            std::size_t j = i + 1;
-            while (j < recs.size() &&
-                   pageNumber(recs[j].vaddr()) == page)
-                ++j;
-            oracle.recordAccess(
-                page, socket, static_cast<std::uint32_t>(j - i));
-            i = j;
-        }
+    // Scale the per-phase migration budget to the footprint so the
+    // modeled migration traffic stays proportional to the shrunken
+    // phase length (the paper tunes an absolute limit per workload
+    // at its own scale, §IV-C). The baseline gets the same budget.
+    core::MigrationConfig mig = setup.migration;
+    if (mig.scaleLimitToFootprint) {
+        mig.migrationLimitPages =
+            static_cast<std::uint32_t>(std::max<std::uint64_t>(
+                64, static_cast<std::uint64_t>(
+                        static_cast<double>(result.footprintPages) *
+                        mig.migrationLimitFraction)));
     }
 
-    mem::PageMap pm(nodes);
-    if (spanPages > 0)
-        pm.preallocate(spanLo, spanPages);
-    // Pages only touched during setup fall back to first touch.
-    for (const auto &ft : trace.firstTouches)
-        pm.touch(ft.page, socketOf(ft.thread));
-    oracle.place(pm, star, result.poolCapacityPages,
-                 setup.migration.poolSharerThreshold);
-
-    auto map = snapshot(pm);
-    for (int phase = 0; phase < scale.phases; ++phase) {
-        Checkpoint cp;
-        cp.pageHome = map;
-        // lint: cold-path one checkpoint per phase
-        result.checkpoints.push_back(std::move(cp));
+    if (setup.placement == Placement::StaticOracle) {
+        OraclePolicy policy(setup, result.poolCapacityPages);
+        replay(trace, policy, result);
+    } else if (setup.sys.hasPool) {
+        TrackerPolicy policy(setup, mig, trace, result.poolCapacityPages,
+                             scale.coresPerSocket);
+        replay(trace, policy, result);
+    } else {
+        PerfectPolicy policy(setup.sys.sockets, mig.migrationLimitPages);
+        replay(trace, policy, result);
     }
-    if (star)
-        result.pagesInPool = pm.pagesAt(setup.sys.poolNode());
+    if (setup.replicateReadOnly)
+        result.replication = core::planReplication(
+            trace, scale.coresPerSocket, setup.sys.sockets,
+            setup.replication);
     return result;
 }
 
@@ -649,11 +678,15 @@ TraceSimResult::serialize() const
     putVarint(buf, pingPongSuppressed);
     putVarint(buf, pagesInPool);
     putDouble(buf, poolMigrationFraction);
-    for (const Checkpoint &cp : checkpoints)
-        encodeCheckpoint(buf, cp);
+    for (const Checkpoint &cp : checkpoints) {
+        putPageHome(buf, cp.pageHome);
+        putRegionMigrations(buf, cp.regionMigrations);
+        putPageMigrations(buf, cp.pageMigrations);
+    }
     putVarint(buf, replication.replicated.size());
-    std::vector<PageNum> rep =
-        sortedPages(replication.replicated);
+    std::vector<PageNum> rep(replication.replicated.begin(),
+                             replication.replicated.end());
+    std::sort(rep.begin(), rep.end());
     std::uint64_t prev = 0;
     for (PageNum page : rep) {
         putVarint(buf, page.value() - prev);
@@ -688,7 +721,9 @@ TraceSimResult::deserialize(ByteReader &r)
         return false; // implausible count: refuse to allocate
     checkpoints.assign(n_cp, {});
     for (Checkpoint &cp : checkpoints)
-        if (!decodeCheckpoint(r, cp))
+        if (!getPageHome(r, cp.pageHome) ||
+            !getRegionMigrations(r, cp.regionMigrations) ||
+            !getPageMigrations(r, cp.pageMigrations))
             return false;
     std::uint64_t n_rep = 0;
     if (!r.getVarint(n_rep) || n_rep > r.remaining())

@@ -1,10 +1,10 @@
 /**
  * @file
- * Step B of the methodology (§IV-A2): replay the captured memory
- * traces (no timing), drive the page-placement machinery — first
- * touch, the T_i tracker + TLB annexes + Algorithm 1 for StarNUMA,
- * the zero-cost perfect-knowledge page policy for the baseline, or
- * the §V-B static oracle — and emit one checkpoint per phase: the
+ * Step B of the methodology (§IV-A2): one loop replays the captured
+ * memory traces (no timing) through first touch and one placement
+ * policy — the T_i tracker + TLB annexes + Algorithm 1 on a pool
+ * system, zero-cost perfect page knowledge on the baseline, or the
+ * §V-B static oracle — and emits one checkpoint per phase: the
  * page-to-node map at the phase's start plus the migrations to be
  * modeled during that phase by the timing simulation (step C).
  */
@@ -97,9 +97,9 @@ struct TraceSimResult
     std::uint64_t tlbShootdownsSaved = 0;
 
     /**
-     * Migration-engine / TLB-directory registry snapshot, taken at
-     * the end of the run while the obs::RunSink is enabled; empty
-     * otherwise. Not part of the serialize() image.
+     * The tracker's migration-engine / TLB-directory registry
+     * snapshot, taken at the end of the run while the obs::RunSink
+     * is enabled; empty otherwise. Not part of the serialize() image.
      */
     obs::Snapshot stats;
 
@@ -113,7 +113,7 @@ struct TraceSimResult
     obs::TimeSeries timeseries;
 
     /**
-     * The migration engine's structured Algorithm-1 decision log
+     * The tracker policy's structured Algorithm-1 decision log
      * (DESIGN.md §14). Populated only while the obs::RunSink is
      * enabled; empty otherwise. Not part of the serialize() image.
      */
@@ -143,12 +143,13 @@ class TraceSim
     TraceSim(const SystemSetup &system_setup,
              const SimScale &sim_scale);
 
-    /** Run all phases over @p trace. */
+    /** Run all phases over @p trace under the setup's policy. */
     TraceSimResult run(const trace::WorkloadTrace &trace);
 
   private:
-    TraceSimResult runDynamic(const trace::WorkloadTrace &trace);
-    TraceSimResult runStaticOracle(const trace::WorkloadTrace &trace);
+    template <typename Policy>
+    void replay(const trace::WorkloadTrace &trace, Policy &policy,
+                TraceSimResult &result);
 
     NodeId socketOf(ThreadId t) const;
 

@@ -93,9 +93,10 @@
 #endif
 
 /**
- * Keep a hot-path root that has a single caller (so the compiler
- * would fold it into that caller) as its own symbol, so that
- * scripts/check_hotpath_syms.sh can find and audit it.
+ * Keep a function with a single caller (which the compiler would
+ * fold into it) as its own symbol, so scripts/check_hotpath_syms.sh
+ * can audit a hot-path root, or keep step-B setup allocations out of
+ * the audited TraceSim::run. Unlike STARNUMA_COLD_PATH, no "cold".
  */
 #if defined(__GNUC__) || defined(__clang__)
 #define STARNUMA_HOT_ROOT __attribute__((noinline))

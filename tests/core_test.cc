@@ -175,7 +175,7 @@ class MigrationTest : public ::testing::Test
   protected:
     MigrationTest()
         : tracker(16, 16, kRegion), pages(17),
-          engine(MigrationConfig{}, 16, true, kRegion, 42)
+          engine(MigrationConfig{}, 16, kRegion, 42)
     {
     }
 
@@ -248,7 +248,7 @@ TEST_F(MigrationTest, MigrationLimitRespected)
 {
     MigrationConfig cfg;
     cfg.migrationLimitPages = kRegion / pageBytes; // one region
-    MigrationEngine limited(cfg, 16, true, kRegion, 7);
+    MigrationEngine limited(cfg, 16, kRegion, 7);
     for (RegionId r = 0; r < 4; ++r) {
         mapRegion(r, 1);
         heatRegion(r, 16, 100);
@@ -315,7 +315,7 @@ TEST_F(MigrationTest, T0UsesAllSocketsCriterion)
 {
     MigrationConfig cfg;
     cfg.counterBits = 0;
-    MigrationEngine t0(cfg, 16, true, kRegion, 3);
+    MigrationEngine t0(cfg, 16, kRegion, 3);
     RegionTracker tracker0(0, 16, kRegion);
 
     mapRegion(0, 2);
@@ -328,20 +328,6 @@ TEST_F(MigrationTest, T0UsesAllSocketsCriterion)
     ASSERT_EQ(plan.size(), 1u);
     EXPECT_EQ(plan[0].region, 0u);
     EXPECT_EQ(plan[0].to, 16);
-}
-
-TEST_F(MigrationTest, BaselineHasNoPoolDestination)
-{
-    MigrationConfig cfg;
-    cfg.poolEnabled = false;
-    MigrationEngine base(cfg, 16, false, kRegion, 5);
-    // Home (socket 9) is not among the sharers (0..7), so the
-    // region moves — but only ever to a socket, never the pool.
-    mapRegion(0, 9);
-    heatRegion(0, 8, 100);
-    auto plan = base.decidePhase(tracker, pages, 0, 1);
-    ASSERT_EQ(plan.size(), 1u);
-    EXPECT_LT(plan[0].to, 8);
 }
 
 TEST_F(MigrationTest, PlacedAtASharerStaysPut)
@@ -360,7 +346,7 @@ TEST_F(MigrationTest, LiteralReshuffleFlagRestoresAlgorithm1)
 {
     MigrationConfig cfg;
     cfg.randomSharerReshuffle = true;
-    MigrationEngine literal(cfg, 16, true, kRegion, 2);
+    MigrationEngine literal(cfg, 16, kRegion, 2);
     mapRegion(0, 2);
     heatRegion(0, 2, 100); // sharers {0, 1}; home 2 not a sharer
     auto plan = literal.decidePhase(tracker, pages, 100000, 1);
@@ -372,7 +358,7 @@ TEST_F(MigrationTest, HiThresholdAdaptsUpUnderPressure)
 {
     MigrationConfig cfg;
     cfg.migrationLimitPages = kRegion / pageBytes; // 1 region
-    MigrationEngine eng(cfg, 16, true, kRegion, 11);
+    MigrationEngine eng(cfg, 16, kRegion, 11);
     for (RegionId r = 0; r < 20; ++r) {
         mapRegion(r, 1);
         heatRegion(r, 16, 1000);
@@ -387,7 +373,7 @@ TEST_F(MigrationTest, HiThresholdAdaptsDownWhenQuiet)
     MigrationConfig cfg;
     cfg.hiThresholdStart = 1024;
     cfg.migrationLimitPages = 64 * (kRegion / pageBytes);
-    MigrationEngine eng(cfg, 16, true, kRegion, 13);
+    MigrationEngine eng(cfg, 16, kRegion, 13);
     mapRegion(0, 1);
     heatRegion(0, 16, 10); // below HI
     eng.decidePhase(tracker, pages, 1u << 20, 1);

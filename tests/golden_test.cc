@@ -236,7 +236,7 @@ const StepBPin stepBPins[] = {
  * Step B's every output, observed, for all eleven named setups:
  * the checkpoint image, the time series and the audit log of each,
  * and the stats of the pool setups. A placement refactor must keep
- * every digest.
+ * every digest. Perfect-knowledge runs carry no engine stats.
  */
 TEST(Golden, StepBOutputsPinnedForEveryNamedSetup)
 {
@@ -258,6 +258,12 @@ TEST(Golden, StepBOutputsPinnedForEveryNamedSetup)
         if (pin.stats != nullptr) {
             EXPECT_EQ(cas::hashString(r.stats.json()).hex(),
                       pin.stats);
+        }
+        // Perfect knowledge builds no migration engine.
+        if (!setup.sys.hasPool &&
+            setup.placement != driver::Placement::StaticOracle) {
+            EXPECT_EQ(r.stats.json().find("\"engine."),
+                      std::string::npos);
         }
     }
     sink.stop();

@@ -285,7 +285,7 @@ TEST_P(MigrationInvariants, PagesConservedAndPoolBounded)
     mem::PageMap pages(17);
     core::MigrationConfig cfg;
     cfg.migrationLimitPages = 64;
-    core::MigrationEngine engine(cfg, 16, true, region, seed);
+    core::MigrationEngine engine(cfg, 16, region, seed);
 
     Rng rng(seed);
     constexpr int n_regions = 64;

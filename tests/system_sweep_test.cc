@@ -147,7 +147,6 @@ TEST(SystemSetups, AllNamedSetupsAreInternallyConsistent)
           S::starnumaSmallPool(), S::baselineStatic(),
           S::starnumaStatic(), S::baselineReplication()}) {
         EXPECT_FALSE(s.name.empty());
-        EXPECT_EQ(s.migration.poolEnabled, s.sys.hasPool);
         EXPECT_EQ(s.regionBytes % pageBytes, 0u);
         // Topology must construct for every named setup.
         Topology t(s.sys);
