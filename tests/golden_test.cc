@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "driver/sweep.hh"
+#include "driver/timing_sim.hh"
 #include "driver/trace_sim.hh"
 #include "sim/cas/hash.hh"
 #include "sim/obs/obs.hh"
@@ -265,6 +266,99 @@ TEST(Golden, StepBOutputsPinnedForEveryNamedSetup)
             EXPECT_EQ(r.stats.json().find("\"engine."),
                       std::string::npos);
         }
+    }
+    sink.stop();
+}
+
+// --- Step-C output pinned for every named setup ---
+
+/** Pinned digests of one setup's timing run of the tiny bfs capture. */
+struct StepCPin
+{
+    driver::SystemSetup (*make)();
+    const char *metrics; ///< metricsSnapshot(RunMetrics) JSON
+    const char *stats;   ///< stats JSON, machine.socketN.llc.* included
+    const char *series;  ///< per-phase time-series JSON
+};
+
+const StepCPin stepCPins[] = {
+    {driver::SystemSetup::baseline,
+     "7b6a8af0c669821c9ac0900edfc88d60",
+     "65ac509ae102931869149996ae9f684a",
+     "5db58760c197925a46909ff285973717"},
+    {driver::SystemSetup::starnuma,
+     "08c1db691aed6cb915932a794570deb1",
+     "9ce040dd175a3c10b5d023b4f7003e30",
+     "ce0f559752f7675edd6c4b38e253f2f2"},
+    {driver::SystemSetup::starnumaT0,
+     "6c09307ef758f0a9f3068e3464796867",
+     "4b51c79989cb21d8d06a06a43b134420",
+     "0d18adee645fc50023cbe1d38cf2c0dc"},
+    {driver::SystemSetup::starnumaSwitched,
+     "adb9e03d16d98f4be5fbdc1e3e8416a9",
+     "23a496f1d72a0daa44f564e1b3a463d5",
+     "c1a2cb71372e2722bdf37af95054c2f6"},
+    {driver::SystemSetup::baselineIsoBW,
+     "1e1b1434d1c71ff9ff8c36d5a4ffccb7",
+     "eb2fdb262f397a97da5d3f620987e6d9",
+     "89f65c5e3e18391074df8f31aec1c0f2"},
+    {driver::SystemSetup::baseline2xBW,
+     "d58a822870f8f57d3a13739200b32d67",
+     "86ddbb950a2cd78fcac03255fbda7209",
+     "ddc58068dd2b5bba15e9a996cae305f6"},
+    {driver::SystemSetup::starnumaHalfBW,
+     "a9caca4e6a0a39d4f2712cd8b50043e3",
+     "c77bbc5394ac894248388b73b458b846",
+     "8467d09717a5f2fc820224bff756eedd"},
+    {driver::SystemSetup::starnumaSmallPool,
+     "0829469c7b96660ede3fb03db08ddafc",
+     "4f74c25b1494ae28a7773977da4d900c",
+     "336be4c2e5b9d72d2ea8b5800ddc18fb"},
+    {driver::SystemSetup::baselineStatic,
+     "26b211a242008175bbf599f314f49193",
+     "f57a8e758cf85d1a0655d13efa68e634",
+     "127c06eaedd439ec4391b7147e610db5"},
+    {driver::SystemSetup::starnumaStatic,
+     "1b2fc97a0437875f174f5789ce0a7b9a",
+     "72f963a671f1501cf0d4ce9489bd613c",
+     "ea29b38865a62afbc90a20635df47bb0"},
+    {driver::SystemSetup::baselineReplication,
+     "7b6a8af0c669821c9ac0900edfc88d60",
+     "65ac509ae102931869149996ae9f684a",
+     "5db58760c197925a46909ff285973717"},
+};
+
+/**
+ * Step C's every output, observed, for all eleven named setups: the
+ * run metrics, the stats (every socket's LLC counters among them)
+ * and the time series of each, with independent phases as the
+ * production callers run them. A timing-layer rewrite (the LLC's
+ * storage, the event loop) must keep every digest.
+ */
+TEST(Golden, StepCOutputsPinnedForEveryNamedSetup)
+{
+    SimScale s = SimScale::tiny();
+    auto trace = workloads::makeWorkload("bfs")->capture(s);
+    obs::RunSink &sink = obs::RunSink::global();
+    sink.start("");
+    driver::TimingOptions opt;
+    opt.independentPhases = true;
+    for (const StepCPin &pin : stepCPins) {
+        // Both simulators keep a reference to the setup: it must
+        // outlive them.
+        driver::SystemSetup setup = pin.make();
+        SCOPED_TRACE(setup.name);
+        driver::TraceSimResult placement =
+            driver::TraceSim(setup, s).run(trace);
+        driver::TimingSim sim(setup, s, opt);
+        driver::RunMetrics m = sim.run(trace, placement);
+        EXPECT_EQ(cas::hashString(driver::metricsSnapshot(m).json()).hex(),
+                  pin.metrics);
+        EXPECT_EQ(cas::hashString(sim.stats().json()).hex(), pin.stats);
+        EXPECT_EQ(cas::hashString(sim.timeseries().json()).hex(),
+                  pin.series);
+        EXPECT_NE(sim.stats().json().find(".llc.hits\""),
+                  std::string::npos);
     }
     sink.stop();
 }
