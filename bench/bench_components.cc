@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_util.hh"
 #include "core/region_tracker.hh"
 #include "core/tlb_annex.hh"
@@ -63,6 +65,25 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+void
+BM_MachineLlcAccess(benchmark::State &state)
+{
+    // One step-C machine's LLCs: 16 sockets of the sc1 geometry
+    // (4 cores x 512 KB, 16-way), accessed round-robin the way the
+    // event loop interleaves sockets. Unlike BM_CacheAccess, their
+    // tags together outgrow the host's L2.
+    std::vector<mem::Cache> llcs(16, mem::Cache({2 * 1024 * 1024, 16}));
+    Rng rng(1);
+    std::size_t s = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            llcs[s].access(rng.next32() & 0xffffff, false).hit);
+        s = (s + 1) & 15;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineLlcAccess);
 
 void
 BM_CaptureFilterAccess(benchmark::State &state)

@@ -85,6 +85,7 @@ MANIFEST = [
     r"starnuma::core::PageAccessStats::record\(",
     r"starnuma::mem::PageMap::touch\(",
     r"starnuma::driver::\(anonymous namespace\)::PhaseSim::run\(",
+    r"starnuma::mem::Cache::access\(",
 ]
 
 # A call target starting with any of these is a hot-path violation.

@@ -8,102 +8,96 @@ namespace starnuma
 namespace mem
 {
 
-namespace
-{
-
-std::size_t
-toPowerOfTwo(std::size_t v)
-{
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-} // anonymous namespace
-
 Cache::Cache(const CacheConfig &config)
-    : ways(config.ways), useClock(0), hits_(0), misses_(0),
-      evictions_(0)
+    : ways(config.ways), hits_(0), misses_(0), evictions_(0)
 {
     sn_assert(config.ways > 0 && config.sizeBytes >= blockBytes,
               "bad cache geometry");
-    numSets = toPowerOfTwo(
-        config.sizeBytes / (blockBytes * config.ways));
-    if (numSets == 0)
-        numSets = 1;
-    sets_.assign(numSets * ways, Line{});
+    // size / (block x ways) sets, rounded up to a power of two, >= 1.
+    std::uint32_t n = 1;
+    while (n < config.sizeBytes / (blockBytes * config.ways))
+        n <<= 1;
+    setMask = n - 1;
+    tags.assign(static_cast<std::size_t>(n) * ways, emptyWay);
 }
 
-std::size_t
-Cache::setIndex(Addr block) const
+std::uint32_t
+Cache::blockNumber(Addr addr)
 {
-    return (block / blockBytes) & (numSets - 1);
+    // Trace records keep 31-bit block numbers (MemRecord), and
+    // CaptureContext::alloc stops short of the last one; above it a
+    // block would alias the dirty bit or the empty-way sentinel.
+    Addr block = addr / blockBytes;
+    sn_assert(block < (emptyWay & ~dirtyBit),
+              "block %#llx is beyond the cache's block numbers",
+              static_cast<unsigned long long>(block));
+    return static_cast<std::uint32_t>(block);
+}
+
+int
+Cache::find(const std::uint32_t *set, std::uint32_t block) const
+{
+    // An empty way never matches: its masked sentinel is above every
+    // block number.
+    int w = 0;
+    while (w < ways && (set[w] & ~dirtyBit) != block)
+        ++w;
+    return w;
 }
 
 CacheAccess
 Cache::access(Addr addr, bool write)
 {
-    Addr block = blockAddr(addr);
-    Line *set = &sets_[setIndex(block) * ways];
-    ++useClock;
+    std::uint32_t block = blockNumber(addr);
+    std::uint32_t *set = &tags[setBase(block)];
+    std::uint32_t entry = write ? block | dirtyBit : block;
 
     CacheAccess result;
-    Line *lru = &set[0];
-    for (int w = 0; w < ways; ++w) {
-        Line &line = set[w];
-        if (line.valid && line.tag == block) {
-            line.lastUse = useClock;
-            line.dirty |= write;
-            ++hits_;
-            result.hit = true;
-            return result;
-        }
-        if (!line.valid) {
-            lru = &line;
-        } else if (lru->valid && line.lastUse < lru->lastUse) {
-            lru = &line;
+    int w = find(set, block);
+    if (w < ways) {
+        entry |= set[w] & dirtyBit;
+        ++hits_;
+        result.hit = true;
+    } else {
+        // The last way is the least recently used block, or empty
+        // when the set still has room.
+        w = ways - 1;
+        ++misses_;
+        if (set[w] != emptyWay) {
+            ++evictions_;
+            result.evicted = true;
+            result.victim = Addr(set[w] & ~dirtyBit) * blockBytes;
+            result.victimDirty = (set[w] & dirtyBit) != 0;
         }
     }
-
-    ++misses_;
-    if (lru->valid) {
-        ++evictions_;
-        result.evicted = true;
-        result.victim = lru->tag;
-        result.victimDirty = lru->dirty;
-    }
-    lru->valid = true;
-    lru->tag = block;
-    lru->dirty = write;
-    lru->lastUse = useClock;
+    // Shift the more recent ways down one slot and put the block in
+    // front.
+    for (; w > 0; --w)
+        set[w] = set[w - 1];
+    set[0] = entry;
     return result;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    Addr block = blockAddr(addr);
-    const Line *set = &sets_[setIndex(block) * ways];
-    for (int w = 0; w < ways; ++w)
-        if (set[w].valid && set[w].tag == block)
-            return true;
-    return false;
+    std::uint32_t block = blockNumber(addr);
+    return find(&tags[setBase(block)], block) < ways;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    Addr block = blockAddr(addr);
-    Line *set = &sets_[setIndex(block) * ways];
-    for (int w = 0; w < ways; ++w) {
-        if (set[w].valid && set[w].tag == block) {
-            set[w].valid = false;
-            set[w].dirty = false;
-            return true;
-        }
-    }
-    return false;
+    std::uint32_t block = blockNumber(addr);
+    std::uint32_t *set = &tags[setBase(block)];
+    int w = find(set, block);
+    if (w == ways)
+        return false;
+    // Close the gap so the valid ways stay a prefix, MRU order kept.
+    for (; w + 1 < ways; ++w)
+        set[w] = set[w + 1];
+    set[ways - 1] = emptyWay;
+    return true;
 }
 
 int
@@ -115,17 +109,6 @@ Cache::invalidatePage(Addr addr)
          block += blockBytes)
         dropped += invalidate(block);
     return dropped;
-}
-
-void
-Cache::reset()
-{
-    for (Line &line : sets_)
-        line = Line{};
-    useClock = 0;
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
 }
 
 // lint: cold-path stats export, once per run when observing

@@ -3,9 +3,12 @@
  * Set-associative write-back cache with LRU replacement. Used in
  * two roles: the per-socket shared LLC of the detailed socket, and
  * the "LLC-sized cache" each light socket keeps to filter accesses
- * and support coherence modeling (§IV-B). Trace capture's private
- * filter is trace::CaptureFilter, which hits exactly where this
- * cache would (DESIGN.md §18).
+ * and support coherence modeling (§IV-B). Each set holds its ways'
+ * u32 block numbers in most-recently-used order, the dirty flag in
+ * bit 31, so a 16-way set is one 64 B host cache line and
+ * replacement is "drop the last" (DESIGN.md §17). Trace capture's
+ * private filter is trace::CaptureFilter, the same layout without
+ * dirty bits, victims or invalidation (DESIGN.md §18).
  */
 
 #ifndef STARNUMA_MEM_CACHE_HH
@@ -70,9 +73,6 @@ class Cache
     /** Invalidate every block of the page containing @p addr. */
     int invalidatePage(Addr addr);
 
-    /** Drop all contents and zero the stats. */
-    void reset();
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t evictions() const { return evictions_; }
@@ -87,29 +87,34 @@ class Cache
                      : 0.0;
     }
 
-    std::size_t sets() const { return sets_.size() / ways; }
-    int associativity() const { return ways; }
-
     /** Register hit/miss/eviction counters and the hit rate. */
     void registerStats(obs::Registry &r,
                        const std::string &prefix) const;
 
   private:
-    struct Line
+    /** Flag of a way whose block must be written back. */
+    static constexpr std::uint32_t dirtyBit = 1u << 31;
+    /** An empty way; no block number reaches it, dirty or not. */
+    static constexpr std::uint32_t emptyWay = ~std::uint32_t(0);
+
+    /** Block number of @p addr, checked below the two flags. */
+    static std::uint32_t blockNumber(Addr addr);
+
+    /** Index in tags of the first way of @p block's set. */
+    std::size_t
+    setBase(std::uint32_t block) const
     {
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+        return (block & setMask) * static_cast<std::size_t>(ways);
+    }
 
-    std::size_t setIndex(Addr block) const;
+    /** Way of @p block in @p set, or ways when absent. */
+    int find(const std::uint32_t *set, std::uint32_t block) const;
 
-    // Lines stored set-major: set s occupies [s*ways, (s+1)*ways).
-    std::vector<Line> sets_;
+    // Set-major: set s occupies [s*ways, (s+1)*ways), MRU first;
+    // the valid ways are always a prefix of the set.
+    std::vector<std::uint32_t> tags;
+    std::uint32_t setMask;
     int ways;
-    std::size_t numSets;
-    std::uint64_t useClock;
     std::uint64_t hits_;
     std::uint64_t misses_;
     std::uint64_t evictions_;

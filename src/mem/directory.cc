@@ -94,16 +94,6 @@ Directory::dirtyOwner(Addr block) const
     return it == entries.end() ? -1 : it->second.owner;
 }
 
-void
-Directory::reset()
-{
-    entries.clear();
-    transactions_ = 0;
-    blockTransfers_ = 0;
-    poolTransfers_ = 0;
-    invalidations_ = 0;
-}
-
 // lint: cold-path stats export, once per run when observing
 void
 Directory::registerStats(obs::Registry &r,

@@ -96,8 +96,6 @@ class Directory
     void registerStats(obs::Registry &r,
                        const std::string &prefix) const;
 
-    void reset();
-
   private:
     struct Entry
     {

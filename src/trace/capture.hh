@@ -53,7 +53,7 @@ struct FilterGeometry
  * as u32 in most-recently-used order, so an 8-way set is 32 bytes
  * and replacement is "drop the last". It has the set count and hit
  * sequence of a mem::Cache of the same geometry (DESIGN.md §18),
- * without the dirty bits, victims and use clock capture never reads.
+ * without the dirty bits, victims and invalidation capture never uses.
  * Block numbers stay below MemRecord::writeBit, so never reach
  * emptyTag (CaptureContext::alloc asserts it).
  */

@@ -125,5 +125,18 @@ TEST(CoverageDeathTest, BadCacheGeometryPanics)
     EXPECT_DEATH(mem::Cache({4096, 0}), "assertion");
 }
 
+TEST(CoverageDeathTest, CacheBlockBeyondTagRangePanics)
+{
+    // Block numbers are u32 with the dirty flag in bit 31: block
+    // 2^31 - 1 would read back as the empty-way sentinel once dirty.
+    mem::Cache c({4096, 4});
+    Addr last_ok = (Addr(1) << 31) - 2;
+    EXPECT_FALSE(c.access(last_ok * blockBytes, true).hit);
+    EXPECT_TRUE(c.contains(last_ok * blockBytes));
+    EXPECT_DEATH(c.access((last_ok + 1) * blockBytes, true), "assertion");
+    EXPECT_DEATH(c.invalidate((last_ok + 1) * blockBytes), "assertion");
+    EXPECT_DEATH(c.contains(Addr(1) << 40), "assertion");
+}
+
 } // anonymous namespace
 } // namespace starnuma

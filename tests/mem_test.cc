@@ -1,16 +1,21 @@
 /**
  * @file
- * Tests for the memory substrate: set-associative cache, DRAM
+ * Tests for the memory substrate: set-associative cache (and its
+ * equivalence with a use-clock LRU reference), DRAM
  * channel/controller queuing, page map with first touch, and the
  * MESI directory's 3-hop/4-hop block-transfer classification.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/directory.hh"
 #include "mem/dram.hh"
 #include "mem/page_map.hh"
+#include "sim/rng.hh"
 
 namespace starnuma
 {
@@ -87,15 +92,6 @@ TEST(Cache, InvalidatePageDropsAllBlocks)
     EXPECT_TRUE(c.contains(0x8000));
 }
 
-TEST(Cache, ResetClearsEverything)
-{
-    Cache c({4096, 4});
-    c.access(0x40, true);
-    c.reset();
-    EXPECT_FALSE(c.contains(0x40));
-    EXPECT_EQ(c.hits() + c.misses(), 0u);
-}
-
 TEST(Cache, HitRateTracksAccesses)
 {
     Cache c({1 << 16, 8});
@@ -128,6 +124,199 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<Addr, int>{32768, 8},
                       std::pair<Addr, int>{1 << 20, 16},
                       std::pair<Addr, int>{8 << 20, 16}));
+
+// --- Cache vs. a use-clock LRU reference ---
+
+/**
+ * The cache as it stood before the MRU-ordered u32 layout: 24-byte
+ * lines with a use-clock stamp, empty ways filled first (the last
+ * one), otherwise the smallest stamp evicted. Kept as the reference
+ * the compact layout must match access for access.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : ways(config.ways)
+    {
+        numSets = 1;
+        while (numSets < config.sizeBytes / (blockBytes * config.ways))
+            numSets <<= 1;
+        lines.assign(numSets * ways, Line{});
+    }
+
+    CacheAccess
+    access(Addr addr, bool write)
+    {
+        Addr block = blockAddr(addr);
+        Line *set = setOf(block);
+        ++useClock;
+        CacheAccess result;
+        Line *lru = &set[0];
+        for (int w = 0; w < ways; ++w) {
+            Line &line = set[w];
+            if (line.valid && line.tag == block) {
+                line.lastUse = useClock;
+                line.dirty |= write;
+                ++hits;
+                result.hit = true;
+                return result;
+            }
+            if (!line.valid)
+                lru = &line;
+            else if (lru->valid && line.lastUse < lru->lastUse)
+                lru = &line;
+        }
+        ++misses;
+        if (lru->valid) {
+            ++evictions;
+            result.evicted = true;
+            result.victim = lru->tag;
+            result.victimDirty = lru->dirty;
+        }
+        *lru = Line{block, useClock, true, write};
+        return result;
+    }
+
+    bool
+    contains(Addr addr)
+    {
+        Addr block = blockAddr(addr);
+        Line *set = setOf(block);
+        for (int w = 0; w < ways; ++w)
+            if (set[w].valid && set[w].tag == block)
+                return true;
+        return false;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Addr block = blockAddr(addr);
+        Line *set = setOf(block);
+        for (int w = 0; w < ways; ++w) {
+            if (set[w].valid && set[w].tag == block) {
+                set[w].valid = false;
+                set[w].dirty = false;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    int
+    invalidatePage(Addr addr)
+    {
+        int dropped = 0;
+        Addr page = pageAddr(addr);
+        for (Addr b = page; b < page + pageBytes; b += blockBytes)
+            dropped += invalidate(b);
+        return dropped;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Line *
+    setOf(Addr block)
+    {
+        return &lines[((block / blockBytes) & (numSets - 1)) * ways];
+    }
+
+    std::vector<Line> lines;
+    int ways;
+    std::size_t numSets;
+    std::uint64_t useClock = 0;
+};
+
+struct DiffGeometry
+{
+    const char *name;
+    CacheConfig config;
+};
+
+void
+PrintTo(const DiffGeometry &g, std::ostream *os)
+{
+    *os << g.name;
+}
+
+class CacheMatchesReference
+    : public ::testing::TestWithParam<DiffGeometry>
+{
+};
+
+/**
+ * Random reads, writes, block invalidations and page invalidations
+ * over a footprint of twice the cache, half of them to a hot region
+ * a quarter of its size so sets see hits, LRU reordering and
+ * refills of invalidated ways. Run at the bottom of the address
+ * space and one page short of the top of the 31-bit block range.
+ */
+TEST_P(CacheMatchesReference, EveryOperationAgrees)
+{
+    const CacheConfig cfg = GetParam().config;
+    const Addr blocks = 2 * cfg.sizeBytes / blockBytes;
+    // Page aligned, so invalidatePage stays inside the range too.
+    const Addr top = ((Addr(1) << 31) - 64 - blocks) & ~Addr(63);
+    const int ops = 300000;
+    for (Addr base : {Addr(0), top}) {
+        SCOPED_TRACE("base block " + std::to_string(base));
+        Cache cache(cfg);
+        ReferenceCache ref(cfg);
+        Rng rng(base + 7);
+        for (int i = 0; i < ops; ++i) {
+            Addr span = rng.chance(0.5) ? blocks / 8 + 1 : blocks;
+            Addr addr = (base + rng.range64(0, span - 1)) * blockBytes +
+                        rng.range32(blockBytes);
+            double op = rng.uniform();
+            if (op < 0.85) {
+                bool write = op < 0.3;
+                CacheAccess got = cache.access(addr, write);
+                CacheAccess want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << "op " << i;
+                ASSERT_EQ(got.evicted, want.evicted) << "op " << i;
+                ASSERT_EQ(got.victim, want.victim) << "op " << i;
+                ASSERT_EQ(got.victimDirty, want.victimDirty) << "op " << i;
+            } else if (op < 0.97) {
+                ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr))
+                    << "op " << i;
+            } else {
+                ASSERT_EQ(cache.invalidatePage(addr),
+                          ref.invalidatePage(addr))
+                    << "op " << i;
+            }
+            ASSERT_EQ(cache.contains(addr), ref.contains(addr)) << "op " << i;
+            ASSERT_EQ(cache.hits(), ref.hits) << "op " << i;
+            ASSERT_EQ(cache.misses(), ref.misses) << "op " << i;
+            ASSERT_EQ(cache.evictions(), ref.evictions) << "op " << i;
+        }
+        EXPECT_GT(cache.hits(), 0u);
+        EXPECT_GT(cache.evictions(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheMatchesReference,
+    ::testing::Values(
+        DiffGeometry{"sc1Llc", {2 * 1024 * 1024, 16}},
+        DiffGeometry{"s8k_w4", {8192, 4}},
+        DiffGeometry{"directMapped", {4096, 1}},
+        // 5 sets round up to 8.
+        DiffGeometry{"roundsUp", {5 * 4 * 64, 4}}),
+    [](const ::testing::TestParamInfo<DiffGeometry> &p) {
+        return std::string(p.param.name);
+    });
 
 // --- DRAM ---
 
@@ -327,9 +516,6 @@ TEST(Directory, TransactionCountsAccumulate)
     EXPECT_EQ(dir.transactions(), 3u);
     EXPECT_EQ(dir.blockTransfers(), 1u);
     EXPECT_GE(dir.invalidations(), 2u);
-    dir.reset();
-    EXPECT_EQ(dir.transactions(), 0u);
-    EXPECT_FALSE(dir.cached(0x10));
 }
 
 class DirectorySharing : public ::testing::TestWithParam<int>
