@@ -16,8 +16,10 @@
 #     invariant failures and allowed on the hot path (D9's
 #     NORETURN_OK set). Other clones (`.constprop`, `.isra`, `.part`)
 #     are audited like the main symbol: at -O3 (a Release build, which
-#     scripts/run_ci.sh checks too) PageAccessStats::record survives
-#     only as a `.constprop` clone.
+#     scripts/run_ci.sh checks too) a hot function may survive only
+#     as such a clone. Header-inline roots that every caller inlines
+#     carry STARNUMA_AUDITED, which emits an out-of-line copy to
+#     audit.
 #   * TraceSim::replay (the one replay loop, one symbol per
 #     placement policy) and decodeColumnar are covered by the
 #     analyzer but not checked here: their phase setup, checkpoint
@@ -79,6 +81,7 @@ MANIFEST = [
     r"starnuma::driver::TraceSim::run\(",
     r"starnuma::core::TlbAnnex::recordAccess\(",
     r"starnuma::core::TlbAnnex::recordAccessRun\(",
+    r"starnuma::core::TlbDirectory::fill\(",
     r"starnuma::core::TlbDirectory::evict\(",
     r"starnuma::core::TlbDirectory::shootdown\(",
     r"starnuma::core::RegionTracker::record\(",

@@ -29,7 +29,7 @@ class OraclePlacement
     explicit OraclePlacement(int sockets) : stats(sockets) {}
 
     /**
-     * Switch the access-count table to flat storage over
+     * Reserve the access-count table over page numbers
      * [base, base + pages) (see PageAccessStats::preallocate).
      */
     void

@@ -45,21 +45,15 @@ PageAccessStats::newBlock()
 void
 PageAccessStats::preallocate(PageNum base, std::size_t pages)
 {
-    sn_assert(pageCounts.empty() && flat.empty(),
-              "preallocate before recording any access");
-    if (pages == 0)
-        return;
-    flatBase = base;
-    flat.assign(pages, nullptr);
+    blocks.reserve(base, pages);
     order.reserve(pages);
 }
 
 void
 PageAccessStats::reset()
 {
-    pageCounts.clear();
     for (PageNum page : order)
-        flat[page.value() - flatBase.value()] = nullptr;
+        *blocks.find(page) = nullptr;
     order.clear();
     for (Arena &a : arenas)
         a.reset();
@@ -68,12 +62,8 @@ PageAccessStats::reset()
 const std::uint32_t *
 PageAccessStats::findBlock(PageNum page) const
 {
-    if (flat.empty()) {
-        auto it = pageCounts.find(page);
-        return it == pageCounts.end() ? nullptr : it->second;
-    }
-    std::uint64_t slot = page.value() - flatBase.value();
-    return slot < flat.size() ? flat[slot] : nullptr;
+    std::uint32_t *const *block = blocks.find(page);
+    return block ? *block : nullptr;
 }
 
 std::uint64_t

@@ -8,10 +8,11 @@
  * StarNUMA's region-granular T_i trackers.
  *
  * This sits on the baseline's per-record hot path, so the counter
- * blocks live in arena-backed flat storage: one FlatMap probe finds
- * the page's block, and the per-socket counters are a contiguous
- * uint32_t array bump-allocated from a chained arena (one malloc'd
- * vector per page would dominate the replay profile).
+ * blocks live in arena-backed flat storage: a flat table indexed by
+ * (page - base) (sim/dense_table.hh) finds the page's block, and the
+ * per-socket counters are a contiguous uint32_t array bump-allocated
+ * from a chained arena (one malloc'd vector per page would dominate
+ * the replay profile).
  */
 
 #ifndef STARNUMA_CORE_PAGE_STATS_HH
@@ -22,7 +23,7 @@
 
 #include "sim/annotations.hh"
 #include "sim/arena.hh"
-#include "sim/flat_map.hh"
+#include "sim/dense_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -38,32 +39,21 @@ class PageAccessStats
     explicit PageAccessStats(int sockets);
 
     /**
-     * Switch to flat-table storage over page numbers
-     * [base, base + pages). Must be called while no access is
-     * recorded; every page recorded afterwards must fall in the
-     * range. Iteration order (first-access order) is unchanged.
+     * Reserve table slots for page numbers [base, base + pages), so
+     * the replay loop never grows the table. Must be called before
+     * the first access is recorded.
      */
     void preallocate(PageNum base, std::size_t pages);
 
     /** Count @p count accesses to page @p page by @p socket. */
     // lint: hot-path one count per replayed record batch (baseline)
-    void
+    STARNUMA_AUDITED void
     record(PageNum page, NodeId socket, std::uint32_t count = 1)
     {
-        std::uint32_t *block;
-        if (flat.empty()) {
-            auto [it, inserted] =
-                pageCounts.try_emplace(page, nullptr);
-            if (inserted)
-                it->second = newBlock();
-            block = it->second;
-        } else {
-            std::uint32_t *&slot = flat[flatSlot(page)];
-            if (!slot) {
-                slot = newBlock();
-                noteFirstAccess(page);
-            }
-            block = slot;
+        std::uint32_t *&block = blocks.slot(page);
+        if (!block) {
+            block = newBlock();
+            noteFirstAccess(page);
         }
         block[socket] += count;
     }
@@ -87,16 +77,8 @@ class PageAccessStats
     void
     forEach(Fn &&fn) const
     {
-        if (flat.empty()) {
-            for (const auto &[page, counts] : pageCounts)
-                fn(page,
-                   static_cast<const std::uint32_t *>(counts));
-        } else {
-            for (PageNum page : order)
-                fn(page, static_cast<const std::uint32_t *>(
-                             flat[page.value() -
-                                  flatBase.value()]));
-        }
+        for (PageNum page : order)
+            fn(page, findBlock(page));
     }
 
     /** Drop all counts; arena storage is reused for the next phase. */
@@ -110,8 +92,8 @@ class PageAccessStats
      * Out-of-line first-access append: keeps the vector's
      * reallocation machinery (and its operator new call) out of the
      * record() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity is reserved in
-     * preallocate(), so the push never actually reallocates.
+     * verifies at the binary level. preallocate() reserves the
+     * capacity, so during replay the push never reallocates.
      */
     // lint: cold-path capacity reserved in preallocate()
     STARNUMA_COLD_PATH void
@@ -120,24 +102,12 @@ class PageAccessStats
         order.push_back(page);
     }
 
-    /** Block of @p page in either mode (null if untouched). */
+    /** Block of @p page (null if untouched). */
     const std::uint32_t *findBlock(PageNum page) const;
 
-    /** Flat-mode slot of @p page (panics when out of range). */
-    std::size_t
-    flatSlot(PageNum page) const
-    {
-        std::uint64_t slot = page.value() - flatBase.value();
-        sn_assert(slot < flat.size(),
-                  "page outside the preallocated range");
-        return static_cast<std::size_t>(slot);
-    }
-
     int sockets_;
-    FlatMap<PageNum, std::uint32_t *> pageCounts;
-    std::vector<std::uint32_t *> flat; // flat mode: block per slot
-    std::vector<PageNum> order;        // flat mode: access order
-    PageNum flatBase{0};
+    DenseTable<PageNum, std::uint32_t *> blocks;
+    std::vector<PageNum> order; // first-access order
     std::vector<Arena> arenas;
 };
 

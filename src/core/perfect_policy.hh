@@ -44,7 +44,7 @@ class PerfectPagePolicy
                       std::uint32_t min_accesses = 4);
 
     /**
-     * Switch the access-count table to flat storage over
+     * Reserve the access-count table over page numbers
      * [base, base + pages) (see PageAccessStats::preallocate).
      */
     void

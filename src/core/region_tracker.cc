@@ -44,24 +44,15 @@ RegionTracker::pagesPerRegion() const
 void
 RegionTracker::preallocate(RegionId base, std::size_t regions)
 {
-    sn_assert(entries.empty() && flat.empty(),
-              "preallocate before recording any access");
-    if (regions == 0)
-        return;
-    flatBase = base;
-    flat.assign(regions, TrackerEntry{});
+    entries.reserve(base, regions);
     touchedOrder.reserve(regions);
 }
 
 const TrackerEntry &
 RegionTracker::entry(RegionId region) const
 {
-    if (flat.empty()) {
-        auto it = entries.find(region);
-        return it == entries.end() ? zeroEntry : it->second;
-    }
-    std::uint64_t slot = region - flatBase;
-    return slot < flat.size() ? flat[slot] : zeroEntry;
+    const TrackerEntry *e = entries.find(region);
+    return e ? *e : zeroEntry;
 }
 
 std::uint64_t

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/flat_map.hh"
+#include "sim/dense_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -68,10 +68,9 @@ class RegionTracker
     }
 
     /**
-     * Switch to flat-table storage over regions
-     * [base, base + regions). Must be called while no region is
-     * touched; every region recorded afterwards must fall in the
-     * range. Iteration order (first-touch order) is unchanged.
+     * Reserve table slots for regions [base, base + regions), so the
+     * replay loop never grows the table. Must be called before the
+     * first access is recorded.
      */
     void preallocate(RegionId base, std::size_t regions);
 
@@ -82,32 +81,24 @@ class RegionTracker
      * is recorded.
      */
     // lint: hot-path (called once per TLB annex flush)
-    void
+    STARNUMA_AUDITED void
     record(Addr addr, NodeId socket, std::uint32_t count = 1)
     {
         sn_assert(socket >= 0 && socket < sockets,
                   "record from unknown socket %d", socket);
         RegionId region = regionOf(addr);
-        TrackerEntry *e;
-        if (flat.empty()) {
-            e = &entries[region];
-        } else {
-            std::uint64_t slot = region - flatBase;
-            sn_assert(slot < flat.size(),
-                      "region outside the preallocated range");
-            e = &flat[slot];
-            // Every record sets a presence bit, so an untouched
-            // entry is exactly one with an empty sharer mask.
-            if (e->sharerMask == 0)
-                noteFirstTouch(region);
-        }
-        e->sharerMask |= 1ULL << socket;
+        TrackerEntry &e = entries.slot(region);
+        // Every record sets a presence bit, so an untouched entry is
+        // exactly one with an empty sharer mask.
+        if (e.sharerMask == 0)
+            noteFirstTouch(region);
+        e.sharerMask |= 1ULL << socket;
         if (counterBits_ > 0) {
             std::uint64_t next =
-                static_cast<std::uint64_t>(e->accesses) + count;
-            e->accesses = next > counterMax
-                              ? counterMax
-                              : static_cast<std::uint32_t>(next);
+                static_cast<std::uint64_t>(e.accesses) + count;
+            e.accesses = next > counterMax
+                             ? counterMax
+                             : static_cast<std::uint32_t>(next);
         }
     }
 
@@ -115,11 +106,7 @@ class RegionTracker
     const TrackerEntry &entry(RegionId region) const;
 
     /** Regions with at least one recorded access this phase. */
-    std::size_t
-    touchedRegions() const
-    {
-        return flat.empty() ? entries.size() : touchedOrder.size();
-    }
+    std::size_t touchedRegions() const { return touchedOrder.size(); }
 
     /**
      * Size in bytes of the metadata region for @p total_memory
@@ -131,32 +118,25 @@ class RegionTracker
     std::uint64_t entryBytes() const;
 
     /**
-     * End-of-phase scan: visit every touched region, then clear all
-     * counters and presence bits (Algorithm 1 resets counters once
-     * per phase).
+     * End-of-phase scan: visit every touched region in first-touch
+     * order, then clear all counters and presence bits (Algorithm 1
+     * resets counters once per phase).
      */
     template <typename Fn>
     void
     scanAndReset(Fn &&fn)
     {
-        if (flat.empty()) {
-            for (auto &[region, e] : entries)
-                fn(region, e);
-            entries.clear();
-        } else {
-            for (RegionId region : touchedOrder)
-                fn(region, flat[region - flatBase]);
-            reset();
-        }
+        for (RegionId region : touchedOrder)
+            fn(region, *entries.find(region));
+        reset();
     }
 
     /** Clear without scanning. */
     void
     reset()
     {
-        entries.clear();
         for (RegionId region : touchedOrder)
-            flat[region - flatBase] = TrackerEntry{};
+            *entries.find(region) = TrackerEntry{};
         touchedOrder.clear();
     }
 
@@ -165,8 +145,8 @@ class RegionTracker
      * Out-of-line first-touch append: keeps the vector's
      * reallocation machinery (and its operator new call) out of the
      * record() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity is reserved in
-     * preallocate(), so the push never actually reallocates.
+     * verifies at the binary level. preallocate() reserves the
+     * capacity, so during replay the push never reallocates.
      */
     // lint: cold-path capacity reserved in preallocate()
     STARNUMA_COLD_PATH void
@@ -179,10 +159,8 @@ class RegionTracker
     int sockets;
     Addr regionBytes_;
     std::uint32_t counterMax;
-    FlatMap<RegionId, TrackerEntry> entries;
-    std::vector<TrackerEntry> flat; // flat mode: entry per slot
+    DenseTable<RegionId, TrackerEntry> entries;
     std::vector<RegionId> touchedOrder;
-    RegionId flatBase = 0;
     static const TrackerEntry zeroEntry;
 };
 

@@ -29,24 +29,15 @@ TlbDirectory::TlbDirectory(int n_cores) : cores(n_cores)
 void
 TlbDirectory::preallocate(PageNum base, std::size_t pages)
 {
-    sn_assert(map.empty() && flat.empty(),
-              "preallocate before tracking any translation");
-    if (pages == 0)
-        return;
-    flatBase = base;
-    flat.assign(pages, TlbHolderMask{});
+    masks.reserve(base, pages);
 }
 
 // lint: hot-path queried per migrated page during shootdowns
 TlbHolderMask
 TlbDirectory::holders(PageNum page) const
 {
-    if (flat.empty()) {
-        auto it = map.find(page);
-        return it == map.end() ? TlbHolderMask{} : it->second;
-    }
-    std::uint64_t slot = page.value() - flatBase.value();
-    return slot < flat.size() ? flat[slot] : TlbHolderMask{};
+    const TlbHolderMask *m = masks.find(page);
+    return m ? *m : TlbHolderMask{};
 }
 
 int
@@ -60,11 +51,9 @@ int
 TlbDirectory::shootdown(PageNum page)
 {
     int targeted = holderCount(page);
-    if (flat.empty()) {
-        map.erase(page);
-    } else if (targeted > 0) {
-        flat[flatSlot(page)] = TlbHolderMask{};
-        --flatTracked;
+    if (targeted > 0) {
+        *masks.find(page) = TlbHolderMask{};
+        --tracked;
     }
     sent_ += targeted;
     saved_ += cores - targeted;

@@ -18,9 +18,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "sim/flat_map.hh"
+#include "sim/annotations.hh"
+#include "sim/dense_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -65,49 +65,36 @@ class TlbDirectory
     explicit TlbDirectory(int cores);
 
     /**
-     * Switch to flat-table storage over page numbers
-     * [base, base + pages). Must be called while no translation is
-     * tracked; every page filled afterwards must fall in the range.
+     * Reserve table slots for page numbers [base, base + pages), so
+     * the replay loop never grows the table. Must be called before
+     * the first fill.
      */
     void preallocate(PageNum base, std::size_t pages);
 
     /** Core @p core filled a TLB entry for page number @p page. */
     // lint: hot-path one fill per TLB miss
-    void
+    STARNUMA_AUDITED void
     fill(PageNum page, int core)
     {
         sn_assert(core >= 0 && core < cores,
                   "fill by unknown core %d", core);
-        if (flat.empty()) {
-            map[page].set(core);
-        } else {
-            TlbHolderMask &m = flat[flatSlot(page)];
-            if (!m.any())
-                ++flatTracked;
-            m.set(core);
-        }
+        TlbHolderMask &m = masks.slot(page);
+        if (!m.any())
+            ++tracked;
+        m.set(core);
     }
 
     /** Core @p core evicted its TLB entry for @p page. */
     // lint: hot-path one eviction per TLB replacement
-    void
+    STARNUMA_AUDITED void
     evict(PageNum page, int core)
     {
-        if (flat.empty()) {
-            auto it = map.find(page);
-            if (it == map.end())
-                return;
-            it->second.clear(core);
-            if (!it->second.any())
-                map.erase(it);
-        } else {
-            TlbHolderMask &m = flat[flatSlot(page)];
-            if (!m.any())
-                return;
-            m.clear(core);
-            if (!m.any())
-                --flatTracked;
-        }
+        TlbHolderMask *m = masks.find(page);
+        if (!m || !m->any())
+            return;
+        m->clear(core);
+        if (!m->any())
+            --tracked;
     }
 
     /** Holder set of cores currently caching @p page. */
@@ -125,11 +112,7 @@ class TlbDirectory
     int shootdown(PageNum page);
 
     /** Pages with at least one holder. */
-    std::size_t
-    trackedPages() const
-    {
-        return flat.empty() ? map.size() : flatTracked;
-    }
+    std::size_t trackedPages() const { return tracked; }
 
     // Cumulative statistics.
     std::uint64_t shootdownsSent() const { return sent_; }
@@ -146,21 +129,9 @@ class TlbDirectory
                        const std::string &prefix) const;
 
   private:
-    /** Flat-mode slot of @p page (panics when out of range). */
-    std::size_t
-    flatSlot(PageNum page) const
-    {
-        std::uint64_t slot = page.value() - flatBase.value();
-        sn_assert(slot < flat.size(),
-                  "page outside the preallocated range");
-        return static_cast<std::size_t>(slot);
-    }
-
     int cores;
-    FlatMap<PageNum, TlbHolderMask> map;
-    std::vector<TlbHolderMask> flat; // flat mode: mask per slot
-    PageNum flatBase{0};
-    std::size_t flatTracked = 0;
+    DenseTable<PageNum, TlbHolderMask> masks;
+    std::size_t tracked = 0; // pages with a non-empty mask
     std::uint64_t sent_ = 0;
     std::uint64_t saved_ = 0;
 };

@@ -155,8 +155,7 @@ struct MachineState
         }
         if (setup.sys.hasPool)
             mcs.emplace_back(setup.sys.poolChannels, dram_cfg);
-        if (span.pages > 0)
-            pages.preallocate(span.lo, span.pages);
+        pages.preallocate(span.lo, span.pages);
     }
 
     void
@@ -1094,14 +1093,9 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     stats_ = obs::Snapshot();
     timeseries_ = obs::TimeSeries();
 
-    // Flat page tables over the trace's dense span, when it covers
-    // every page a checkpoint maps (a replay of this trace always
-    // does; a hand-built placement might not).
-    PageSpan span = densePageSpan(trace);
-    for (const Checkpoint &cp : placement.checkpoints)
-        for (const auto &[page, home] : cp.pageHome)
-            if (page.value() - span.lo.value() >= span.pages)
-                span.pages = 0;
+    // The page map reserves the trace's dense span; a hand-built
+    // placement that maps a page outside it grows the map.
+    const PageSpan span = densePageSpan(trace);
 
     // The machine that feeds the link diagnostics below: the last
     // phase's (independent phases) or the shared one (sequential).

@@ -69,7 +69,7 @@ densePageSpan(const trace::WorkloadTrace &trace)
     if (min > max)
         return span; // empty trace
     // Plausibility: a bump-allocated span exceeds the footprint by
-    // at most a little slack; anything sparser keeps hashed tables.
+    // at most a little slack; anything sparser reserves nothing.
     std::uint64_t pages = max - min + 1;
     if (pages <= pagesIn(trace.footprintBytes) + 1024) {
         span.lo = PageNum(min);
@@ -395,28 +395,6 @@ addMigratedPages(obs::TimeSeries &series,
 // The encoders serve TraceSimResult::serialize()/deserialize().
 constexpr std::uint64_t checkpointMagic = 0x53544152434b5032ULL;
 
-// Fixed 8-byte little-endian doubles (not the varint encoding of
-// sim/bytes.hh): format v2 predates the cache and its byte stream
-// must not change.
-void
-putDouble(std::vector<std::uint8_t> &out, double v)
-{
-    std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i)
-        out.push_back(
-            static_cast<std::uint8_t>(bits >> (8 * i)));
-}
-
-bool
-getDouble(trace::ByteReader &r, double &v)
-{
-    std::uint64_t bits = 0;
-    if (!r.getU64(bits))
-        return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-}
-
 void
 putPageHome(std::vector<std::uint8_t> &buf,
             const FlatMap<PageNum, NodeId> &home)
@@ -546,10 +524,9 @@ TraceSim::replay(const trace::WorkloadTrace &trace, Policy &policy,
                  TraceSimResult &result)
 {
     mem::PageMap pm(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0));
-    // Captured traces cover one dense page range; give every
-    // page/region table flat array storage over it (identical
-    // behavior, array indexing instead of hashing on the hot path).
-    // Sparse hand-built traces keep the FlatMap storage.
+    // Captured traces cover one dense page range; reserve every
+    // page/region table over it so the hot path never grows one.
+    // Sparse hand-built traces reserve nothing and grow on demand.
     const PageSpan span = densePageSpan(trace);
     if (span.pages > 0) {
         pm.preallocate(span.lo, span.pages);
@@ -677,7 +654,10 @@ TraceSimResult::serialize() const
     putVarint(buf, victimEvictions);
     putVarint(buf, pingPongSuppressed);
     putVarint(buf, pagesInPool);
-    putDouble(buf, poolMigrationFraction);
+    // Doubles are fixed 8-byte little-endian bit patterns, not the
+    // varint putDouble of sim/bytes.hh: format v2 predates the cache
+    // and its byte stream must not change.
+    putU64(buf, std::bit_cast<std::uint64_t>(poolMigrationFraction));
     for (const Checkpoint &cp : checkpoints) {
         putPageHome(buf, cp.pageHome);
         putRegionMigrations(buf, cp.regionMigrations);
@@ -692,7 +672,8 @@ TraceSimResult::serialize() const
         putVarint(buf, page.value() - prev);
         prev = page.value();
     }
-    putDouble(buf, replication.capacityOverhead);
+    putU64(buf,
+           std::bit_cast<std::uint64_t>(replication.capacityOverhead));
     return buf;
 }
 
@@ -704,7 +685,7 @@ TraceSimResult::deserialize(ByteReader &r)
     if (!r.getVarint(magic) || magic != checkpointMagic ||
         !r.getVarint(n_cp))
         return false;
-    std::uint64_t scalars[7] = {};
+    std::uint64_t scalars[7] = {}, bits = 0;
     for (std::uint64_t &s : scalars)
         if (!r.getVarint(s))
             return false;
@@ -715,8 +696,9 @@ TraceSimResult::deserialize(ByteReader &r)
     victimEvictions = scalars[4];
     pingPongSuppressed = scalars[5];
     pagesInPool = scalars[6];
-    if (!getDouble(r, poolMigrationFraction))
+    if (!r.getU64(bits))
         return false;
+    poolMigrationFraction = std::bit_cast<double>(bits);
     if (n_cp > r.remaining())
         return false; // implausible count: refuse to allocate
     checkpoints.assign(n_cp, {});
@@ -737,7 +719,10 @@ TraceSimResult::deserialize(ByteReader &r)
         page += delta;
         replication.replicated.insert(PageNum(page));
     }
-    return getDouble(r, replication.capacityOverhead);
+    if (!r.getU64(bits))
+        return false;
+    replication.capacityOverhead = std::bit_cast<double>(bits);
+    return true;
 }
 
 } // namespace driver

@@ -50,15 +50,15 @@ struct Checkpoint
 };
 
 /**
- * Dense page range [lo, lo + pages) of a trace, over which the page
- * tables of replay (step B) and timing (step C) switch to flat
- * array storage. Captured traces bump-allocate their address space,
- * so the span covers every page the run touches (records and first
- * touches); capture and the columnar decoder stamp it on the trace,
- * and hand-built traces pay one linear scan here. pages == 0 when
- * the trace is empty or implausibly sparse — a span wider than the
- * footprint plus 1024 pages of slack — and the tables then keep
- * their hashed storage.
+ * Dense page range [lo, lo + pages) of a trace, which the flat page
+ * and region tables of replay (step B) and timing (step C) reserve
+ * before the first record. Captured traces bump-allocate their
+ * address space, so the span covers every page the run touches
+ * (records and first touches); capture and the columnar decoder
+ * stamp it on the trace, and hand-built traces pay one linear scan
+ * here. pages == 0 when the trace is empty or implausibly sparse — a
+ * span wider than the footprint plus 1024 pages of slack — and the
+ * tables then reserve nothing and grow to the keys they meet.
  */
 struct PageSpan
 {

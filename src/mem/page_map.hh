@@ -5,13 +5,12 @@
  * The map also tracks per-node page counts so capacity policies
  * (pool limit, victim selection) can query occupancy cheaply.
  *
- * Two storage modes share one interface. By default pages live in a
- * FlatMap (any key pattern). Traces captured against the simulator's
- * bump allocator cover one contiguous page range, so replay can call
- * preallocate() to switch to a flat page table — a plain array
- * indexed by (page - base) — which turns every hot-path touch() into
- * a bounds-checked load. Observable behavior, including the
- * insertion-order forEach(), is identical in both modes.
+ * Homes live in a flat table indexed by (page - base)
+ * (sim/dense_table.hh), so every hot-path touch() is a bounds-checked
+ * load. Traces captured against the simulator's bump allocator cover
+ * one contiguous page range, which replay reserves up front with
+ * preallocate(); a page outside it grows the table. A separate
+ * insertion-order vector drives forEach().
  */
 
 #ifndef STARNUMA_MEM_PAGE_MAP_HH
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "sim/annotations.hh"
-#include "sim/flat_map.hh"
+#include "sim/dense_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -41,9 +40,9 @@ class PageMap
     explicit PageMap(int nodes);
 
     /**
-     * Switch to flat-table storage over page numbers
-     * [base, base + pages). Must be called before the first page is
-     * mapped; every page touched afterwards must fall in the range.
+     * Reserve table slots for page numbers [base, base + pages), so
+     * the replay loop never grows the table. Must be called before
+     * the first page is mapped.
      */
     void preallocate(PageNum base, std::uint64_t pages);
 
@@ -52,12 +51,8 @@ class PageMap
     NodeId
     home(PageNum page) const
     {
-        if (flat.empty()) {
-            auto it = map.find(page);
-            return it == map.end() ? invalidNode : it->second;
-        }
-        std::uint64_t slot = page.value() - flatBase.value();
-        return slot < flat.size() ? flat[slot] : invalidNode;
+        const NodeId *h = homes.find(page);
+        return h ? *h : invalidNode;
     }
 
     /**
@@ -66,12 +61,10 @@ class PageMap
      * @return the (possibly just-assigned) home node.
      */
     // lint: hot-path one touch per replayed record batch
-    NodeId
+    STARNUMA_AUDITED NodeId
     touch(PageNum page, NodeId toucher)
     {
-        if (flat.empty())
-            return touchMapped(page, toucher);
-        NodeId &h = flat[flatSlot(page)];
+        NodeId &h = homes.slot(page);
         if (h == invalidNode) {
             sn_assert(toucher >= 0 && static_cast<std::size_t>(
                                           toucher) < counts.size(),
@@ -79,7 +72,7 @@ class PageMap
             h = toucher;
             ++counts[toucher];
             ++firstTouch;
-            noteFirstTouch(page);
+            noteMapped(page);
         }
         return h;
     }
@@ -91,11 +84,7 @@ class PageMap
     std::uint64_t pagesAt(NodeId node) const;
 
     /** Total mapped pages. */
-    std::uint64_t
-    totalPages() const
-    {
-        return flat.empty() ? map.size() : order.size();
-    }
+    std::uint64_t totalPages() const { return order.size(); }
 
     /** Pages whose initial placement came from first touch. */
     std::uint64_t firstTouchPages() const { return firstTouch; }
@@ -105,46 +94,27 @@ class PageMap
     void
     forEach(Fn &&fn) const
     {
-        if (flat.empty()) {
-            for (const auto &[page, node] : map)
-                fn(page, node);
-        } else {
-            for (PageNum page : order)
-                fn(page, flat[page.value() - flatBase.value()]);
-        }
+        for (PageNum page : order)
+            fn(page, *homes.find(page));
     }
 
   private:
-    NodeId touchMapped(PageNum page, NodeId toucher);
-
     /**
-     * Out-of-line first-touch append: keeps the vector's
+     * Out-of-line append of a newly mapped page: keeps the vector's
      * reallocation machinery (and its operator new call) out of the
      * touch() hot symbol, which scripts/check_hotpath_syms.sh
-     * verifies at the binary level. Capacity is reserved in
-     * preallocate(), so the push never actually reallocates.
+     * verifies at the binary level. preallocate() reserves the
+     * capacity, so during replay the push never reallocates.
      */
     // lint: cold-path capacity reserved in preallocate()
     STARNUMA_COLD_PATH void
-    noteFirstTouch(PageNum page)
+    noteMapped(PageNum page)
     {
         order.push_back(page);
     }
 
-    /** Flat-mode slot of @p page (panics when out of range). */
-    std::uint64_t
-    flatSlot(PageNum page) const
-    {
-        std::uint64_t slot = page.value() - flatBase.value();
-        sn_assert(slot < flat.size(),
-                  "page outside the preallocated range");
-        return slot;
-    }
-
-    FlatMap<PageNum, NodeId> map;
-    std::vector<NodeId> flat;    // flat mode: home per slot
-    std::vector<PageNum> order;  // flat mode: insertion order
-    PageNum flatBase{0};
+    DenseTable<PageNum, NodeId> homes{invalidNode};
+    std::vector<PageNum> order; // insertion order
     std::vector<std::uint64_t> counts;
     std::uint64_t firstTouch;
 };

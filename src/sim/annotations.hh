@@ -104,4 +104,15 @@
 #define STARNUMA_HOT_ROOT
 #endif
 
+/**
+ * Emit an out-of-line copy of a small inline hot-path function even
+ * where every call to it is inlined, so scripts/check_hotpath_syms.sh
+ * has a symbol to audit. The calls themselves stay inlined.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define STARNUMA_AUDITED __attribute__((used))
+#else
+#define STARNUMA_AUDITED
+#endif
+
 #endif // STARNUMA_SIM_ANNOTATIONS_HH

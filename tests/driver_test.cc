@@ -441,12 +441,15 @@ TEST(TimingSim, IndependentPhasesDeterministic)
     EXPECT_DOUBLE_EQ(ma.amatCycles, mb.amatCycles);
 }
 
-TEST(TimingSim, FlatPageMapMatchesHashedMap)
+TEST(PageTables, SpanReservationLeavesResultsIdentical)
 {
-    // Step C switches its page map to a flat table over the trace's
-    // dense page span. Whether that span is stamped by capture,
-    // recovered by a scan, or rejected as implausibly sparse (the
-    // hashed map then stays), the simulated results are identical.
+    // Replay (step B) and timing (step C) reserve their page and
+    // region tables over the trace's dense page span and grow them
+    // for any key outside it. Whether that span is stamped by
+    // capture, recovered by a scan, or rejected as implausibly
+    // sparse (nothing is reserved), every policy's checkpoints are
+    // byte-identical and step C times them identically; so does a
+    // placement that maps pages outside the span.
     SimScale s = tinyScale();
     trace::WorkloadTrace unstamped = syntheticTrace(s, 16, 400, true);
     const PageSpan span = densePageSpan(unstamped);
@@ -463,17 +466,41 @@ TEST(TimingSim, FlatPageMapMatchesHashedMap)
     sparse.maxPage = PageNum(std::uint64_t(1) << 40);
     EXPECT_EQ(densePageSpan(sparse).pages, 0u);
 
-    SystemSetup setup = SystemSetup::starnuma();
-    auto placement = TraceSim(setup, s).run(stamped);
     TimingOptions opt;
     opt.independentPhases = true;
-    auto run = [&](const trace::WorkloadTrace &t) {
-        return metricsSnapshot(TimingSim(setup, s, opt).run(t, placement))
-            .values();
-    };
-    auto want = run(stamped);
-    EXPECT_EQ(run(unstamped), want);
-    EXPECT_EQ(run(sparse), want);
+    // The tracker, perfect-knowledge and static-oracle policies.
+    for (const SystemSetup &setup :
+         {SystemSetup::starnuma(), SystemSetup::baseline(),
+          SystemSetup::baselineStatic()}) {
+        SCOPED_TRACE(setup.name);
+        auto replay = [&](const trace::WorkloadTrace &t) {
+            return TraceSim(setup, s).run(t);
+        };
+        auto time = [&](const trace::WorkloadTrace &t,
+                        const TraceSimResult &placement) {
+            return metricsSnapshot(
+                       TimingSim(setup, s, opt).run(t, placement))
+                .values();
+        };
+        const TraceSimResult placement = replay(stamped);
+        const std::vector<std::uint8_t> image = placement.serialize();
+        EXPECT_EQ(replay(unstamped).serialize(), image);
+        EXPECT_EQ(replay(sparse).serialize(), image);
+
+        auto want = time(stamped, placement);
+        EXPECT_EQ(time(unstamped, placement), want);
+        EXPECT_EQ(time(sparse, placement), want);
+
+        // Pages no record touches, below and far above the span:
+        // step C's page map grows to hold them, and nothing the
+        // trace does reaches them.
+        TraceSimResult outside = placement;
+        for (Checkpoint &cp : outside.checkpoints) {
+            cp.pageHome[span.lo - PageNum(3)] = 0;
+            cp.pageHome[span.last() + PageNum(5000)] = 1;
+        }
+        EXPECT_EQ(time(stamped, outside), want);
+    }
 }
 
 } // anonymous namespace

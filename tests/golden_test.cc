@@ -363,5 +363,84 @@ TEST(Golden, StepCOutputsPinnedForEveryNamedSetup)
     sink.stop();
 }
 
+/**
+ * A hand-built trace on which step C's LLC invalidations matter. All
+ * threads read and write the same pages, so the directory
+ * invalidates other sockets' copies; the pages are widely shared and
+ * hot, so Algorithm 1 moves their regions to the pool and phase 1's
+ * modeled migrations shoot them down. The pages sit 32 pages (2048
+ * blocks, the LLC's set count) apart, so their blocks all fall into
+ * the same four sets of every socket's LLC: 40 pages overflow those
+ * sets' 16 ways, and a set an invalidation leaves with room refills
+ * on the next miss.
+ */
+trace::WorkloadTrace
+invalidationTrace(const SimScale &s)
+{
+    constexpr std::uint64_t pages = 40;
+    constexpr std::uint64_t stride = 32; // pages between touched pages
+    constexpr std::uint64_t blocksPerPage = 4;
+    constexpr std::uint64_t gap = 8; // instructions between records
+    const Addr base = 0x10000000;
+    trace::WorkloadTrace t;
+    t.workload = "llc-invalidation";
+    t.threads = s.threads();
+    t.instructionsPerThread =
+        static_cast<std::uint64_t>(s.phases) * s.phaseInstructions;
+    t.footprintBytes = pages * stride * pageBytes;
+    t.perThread.resize(t.threads);
+    for (ThreadId th = 0; th < t.threads; ++th) {
+        for (std::uint64_t instr = gap; instr <= t.instructionsPerThread;
+             instr += gap) {
+            std::uint64_t i = instr / gap + 7 * th;
+            Addr addr = base + (i % pages) * stride * pageBytes +
+                        (i / pages % blocksPerPage) * blockBytes;
+            t.perThread[th].emplace_back(instr, addr, (i + th) % 5 == 0);
+        }
+    }
+    return t;
+}
+
+/**
+ * Step C's outputs on invalidationTrace(): the end-to-end pin that
+ * depends on mem::Cache::invalidate leaving the valid ways a prefix
+ * of the set, which the named-setup pins above (too short to refill
+ * an invalidated set) do not.
+ */
+TEST(Golden, StepCLlcInvalidationRefillPinned)
+{
+    SimScale s;
+    s.phases = 2;
+    s.phaseInstructions = 20000;
+    s.detailFraction = 0.5;
+    s.warmupFraction = 0.1;
+    const trace::WorkloadTrace trace = invalidationTrace(s);
+    const driver::SystemSetup setup = driver::SystemSetup::starnuma();
+    obs::RunSink &sink = obs::RunSink::global();
+    sink.start("");
+    driver::TraceSimResult placement =
+        driver::TraceSim(setup, s).run(trace);
+    EXPECT_GT(placement.checkpoints[1].regionMigrations.size(), 0u);
+    driver::TimingOptions opt;
+    opt.independentPhases = true;
+    driver::TimingSim sim(setup, s, opt);
+    driver::RunMetrics m = sim.run(trace, placement);
+    sink.stop();
+
+    // Both kinds of invalidation happened, and the sets overflowed.
+    EXPECT_GT(m.shootdownPages, 0u);
+    const obs::Snapshot &stats = sim.stats();
+    for (const char *counter :
+         {"machine.directory.invalidations",
+          "machine.socket0.llc.evictions"}) {
+        std::string v = stats.get(counter);
+        EXPECT_TRUE(!v.empty() && v != "0") << counter << " = " << v;
+    }
+    EXPECT_EQ(cas::hashString(driver::metricsSnapshot(m).json()).hex(),
+              "2c0a9ebf0c4bf0744b803fa9536af7cb");
+    EXPECT_EQ(cas::hashString(stats.json()).hex(),
+              "21be808c7ddfbc2df3bc82c7503779c3");
+}
+
 } // anonymous namespace
 } // namespace starnuma

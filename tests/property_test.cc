@@ -4,21 +4,29 @@
  * parameter spaces — event-queue ordering under random schedules,
  * cache inclusion/eviction algebra, tracker saturation, migration
  * engine conservation (no page lost, pool capacity never exceeded),
- * sharing-profile normalization, and trace determinism.
+ * sharing-profile normalization, trace determinism, and the flat
+ * page/region tables against std::map references.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <queue>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/migration.hh"
+#include "core/page_stats.hh"
 #include "core/region_tracker.hh"
 #include "core/tlb_annex.hh"
+#include "core/tlb_directory.hh"
 #include "mem/cache.hh"
+#include "mem/page_map.hh"
 #include "mem/dram.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
@@ -484,6 +492,267 @@ TEST_P(WorkloadDeterminism, SameSeedSameTrace)
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadDeterminism,
                          ::testing::Values("bfs", "masstree",
                                            "tpcc", "poa"));
+
+// --- Flat tables (sim/dense_table.hh): growth matches a std::map ---
+
+/**
+ * Drives the four page- and region-indexed tables with random keys in
+ * random order against std::map references, with and without a
+ * reserved range. The keys fall inside the range a run may reserve,
+ * below it (down to key 0) and far above it, so tables both with and
+ * without a reservation grow in both directions.
+ */
+class DenseTables
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{
+  protected:
+    static constexpr std::uint64_t base = 4096;
+    static constexpr std::uint64_t span = 256;
+
+    /** A pool of keys the operations draw from, so keys repeat. */
+    static std::vector<std::uint64_t>
+    keyPool(Rng &rng)
+    {
+        std::vector<std::uint64_t> keys;
+        for (int i = 0; i < 300; ++i) {
+            switch (rng.range32(4)) {
+              case 0: // below the reserved range
+                keys.push_back(base - 1 - rng.range32(base));
+                break;
+              case 1: // far above it
+                keys.push_back(base + span + rng.range32(1 << 16));
+                break;
+              default:
+                keys.push_back(base + rng.range32(span));
+            }
+        }
+        return keys;
+    }
+
+    static std::uint64_t
+    pick(Rng &rng, const std::vector<std::uint64_t> &keys)
+    {
+        return keys[rng.range32(static_cast<std::uint32_t>(keys.size()))];
+    }
+};
+
+TEST_P(DenseTables, PageMapMatchesReference)
+{
+    auto [seed, reserve] = GetParam();
+    Rng rng(seed);
+    const std::vector<std::uint64_t> keys = keyPool(rng);
+    constexpr int nodes = 5;
+    mem::PageMap pm(nodes);
+    if (reserve)
+        pm.preallocate(PageNum(base), span);
+    std::map<std::uint64_t, NodeId> home;
+    std::vector<std::uint64_t> order;
+    std::uint64_t first_touches = 0;
+    for (int i = 0; i < 4000; ++i) {
+        std::uint64_t k = pick(rng, keys);
+        auto node = static_cast<NodeId>(rng.range32(nodes));
+        bool mapped = home.count(k) > 0;
+        switch (rng.range32(3)) {
+          case 0:
+            if (!mapped) {
+                home[k] = node;
+                order.push_back(k);
+                ++first_touches;
+            }
+            ASSERT_EQ(pm.touch(PageNum(k), node), home[k]);
+            break;
+          case 1:
+            if (!mapped)
+                order.push_back(k);
+            home[k] = node;
+            pm.setHome(PageNum(k), node);
+            break;
+          default:
+            ASSERT_EQ(pm.home(PageNum(k)),
+                      mapped ? home[k] : mem::invalidNode);
+        }
+    }
+    EXPECT_EQ(pm.totalPages(), home.size());
+    EXPECT_EQ(pm.firstTouchPages(), first_touches);
+    for (NodeId n = 0; n < nodes; ++n) {
+        std::uint64_t want = 0;
+        for (const auto &[page, h] : home)
+            want += (h == n);
+        EXPECT_EQ(pm.pagesAt(n), want);
+    }
+    std::vector<std::uint64_t> seen;
+    pm.forEach([&](PageNum page, NodeId h) {
+        seen.push_back(page.value());
+        EXPECT_EQ(h, home[page.value()]);
+    });
+    EXPECT_EQ(seen, order);
+}
+
+TEST_P(DenseTables, RegionTrackerMatchesReference)
+{
+    auto [seed, reserve] = GetParam();
+    Rng rng(seed);
+    const std::vector<std::uint64_t> keys = keyPool(rng);
+    constexpr Addr region_bytes = 16 * 1024;
+    constexpr int sockets = 8;
+    constexpr std::uint32_t counter_max = 15; // T_4
+    core::RegionTracker t(4, sockets, region_bytes);
+    if (reserve)
+        t.preallocate(base, span);
+    std::map<core::RegionId, core::TrackerEntry> ref;
+    std::vector<core::RegionId> order;
+    auto scan = [&] {
+        std::vector<core::RegionId> seen;
+        t.scanAndReset(
+            [&](core::RegionId region, const core::TrackerEntry &e) {
+                seen.push_back(region);
+                EXPECT_EQ(e.sharerMask, ref[region].sharerMask);
+                EXPECT_EQ(e.accesses, ref[region].accesses);
+            });
+        EXPECT_EQ(seen, order);
+        ref.clear();
+        order.clear();
+        EXPECT_EQ(t.touchedRegions(), 0u);
+    };
+    for (int i = 0; i < 4000; ++i) {
+        core::RegionId region = pick(rng, keys);
+        if (rng.range32(2)) {
+            auto socket = static_cast<NodeId>(rng.range32(sockets));
+            std::uint32_t count = rng.range32(10);
+            if (!ref.count(region))
+                order.push_back(region);
+            core::TrackerEntry &e = ref[region];
+            e.sharerMask |= 1ULL << socket;
+            e.accesses = std::min(e.accesses + count, counter_max);
+            t.record(region * region_bytes +
+                         rng.range32(region_bytes),
+                     socket, count);
+        } else {
+            const core::TrackerEntry &e = t.entry(region);
+            auto it = ref.find(region);
+            EXPECT_EQ(e.sharerMask,
+                      it == ref.end() ? 0 : it->second.sharerMask);
+            EXPECT_EQ(e.accesses,
+                      it == ref.end() ? 0 : it->second.accesses);
+        }
+        ASSERT_EQ(t.touchedRegions(), ref.size());
+        if (i % 1000 == 999)
+            scan();
+    }
+}
+
+TEST_P(DenseTables, PageAccessStatsMatchesReference)
+{
+    auto [seed, reserve] = GetParam();
+    Rng rng(seed);
+    const std::vector<std::uint64_t> keys = keyPool(rng);
+    constexpr int sockets = 6;
+    core::PageAccessStats st(sockets);
+    if (reserve)
+        st.preallocate(PageNum(base), span);
+    std::map<std::uint64_t, std::array<std::uint32_t, sockets>> ref;
+    std::vector<std::uint64_t> order;
+    auto check = [&](std::uint64_t page) {
+        auto it = ref.find(page);
+        std::uint64_t total = 0;
+        int sharers = 0;
+        NodeId majority = -1;
+        if (it != ref.end()) {
+            NodeId best = 0;
+            for (int s = 0; s < sockets; ++s) {
+                total += it->second[s];
+                sharers += it->second[s] > 0;
+                if (it->second[s] > it->second[best])
+                    best = s;
+            }
+            majority = it->second[best] > 0 ? best : -1;
+        }
+        EXPECT_EQ(st.totalAccesses(PageNum(page)), total);
+        EXPECT_EQ(st.sharers(PageNum(page)), sharers);
+        EXPECT_EQ(st.majoritySocket(PageNum(page)), majority);
+    };
+    auto visit = [&] {
+        std::vector<std::uint64_t> seen;
+        st.forEach([&](PageNum page, const std::uint32_t *counts) {
+            seen.push_back(page.value());
+            for (int s = 0; s < sockets; ++s)
+                EXPECT_EQ(counts[s], ref[page.value()][s]);
+        });
+        EXPECT_EQ(seen, order);
+    };
+    for (int i = 0; i < 4000; ++i) {
+        std::uint64_t page = pick(rng, keys);
+        if (rng.range32(2)) {
+            auto socket = static_cast<NodeId>(rng.range32(sockets));
+            std::uint32_t count = 1 + rng.range32(5);
+            if (!ref.count(page)) {
+                order.push_back(page);
+                ref[page] = {};
+            }
+            ref[page][socket] += count;
+            st.record(PageNum(page), socket, count);
+        } else {
+            check(page);
+        }
+        if (i % 1000 == 999) {
+            visit();
+            st.reset();
+            ref.clear();
+            order.clear();
+        }
+    }
+    visit();
+}
+
+TEST_P(DenseTables, TlbDirectoryMatchesReference)
+{
+    auto [seed, reserve] = GetParam();
+    Rng rng(seed);
+    const std::vector<std::uint64_t> keys = keyPool(rng);
+    constexpr int cores = 70; // holders span two mask words
+    core::TlbDirectory dir(cores);
+    if (reserve)
+        dir.preallocate(PageNum(base), span);
+    std::map<std::uint64_t, std::set<int>> ref;
+    for (int i = 0; i < 4000; ++i) {
+        std::uint64_t page = pick(rng, keys);
+        int core = static_cast<int>(rng.range32(cores));
+        switch (rng.range32(4)) {
+          case 0:
+          case 1:
+            ref[page].insert(core);
+            dir.fill(PageNum(page), core);
+            break;
+          case 2:
+            if (ref.count(page)) {
+                ref[page].erase(core);
+                if (ref[page].empty())
+                    ref.erase(page);
+            }
+            dir.evict(PageNum(page), core);
+            break;
+          default: {
+            int want = ref.count(page)
+                           ? static_cast<int>(ref[page].size())
+                           : 0;
+            ref.erase(page);
+            EXPECT_EQ(dir.shootdown(PageNum(page)), want);
+          }
+        }
+        std::uint64_t probe = pick(rng, keys);
+        core::TlbHolderMask want;
+        if (ref.count(probe))
+            for (int c : ref[probe])
+                want.set(c);
+        EXPECT_EQ(dir.holders(PageNum(probe)).words, want.words);
+        EXPECT_EQ(dir.holderCount(PageNum(probe)), want.count());
+        ASSERT_EQ(dir.trackedPages(), ref.size());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsReserved, DenseTables,
+    ::testing::Combine(::testing::Values(1, 2, 3), ::testing::Bool()));
 
 // --- Arena (sim/arena.hh): the lifetime rules of DESIGN.md §12 ---
 
