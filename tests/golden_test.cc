@@ -173,6 +173,8 @@ struct StepBPin
     const char *series;      ///< per-phase time-series JSON
     const char *audit;       ///< Algorithm-1 audit rows
     const char *stats;       ///< stats JSON; nullptr = not pinned
+    std::uint64_t shootdownsSent;  ///< DiDi-targeted invalidations
+    std::uint64_t shootdownsSaved; ///< broadcast invalidations avoided
 };
 
 const StepBPin stepBPins[] = {
@@ -180,57 +182,68 @@ const StepBPin stepBPins[] = {
      "101903d0100cf366ffd2640e7dc989ea",
      "fda760cf4ef07b4ad140dad485551d41",
      "6c62272e07bb014262b821756295c58d",
-     nullptr},
+     nullptr,
+     0, 0},
     {driver::SystemSetup::starnuma,
      "ce61eb2990b04384fca72be1ed35800e",
      "cd18537933cd5704ac34a7bb885d714c",
      "0d5148f5e1dd53cc184dae8b27bfb7f6",
-     "af7579233020ad06db3de5323c68e321"},
+     "af7579233020ad06db3de5323c68e321",
+     234, 18454},
     {driver::SystemSetup::starnumaT0,
      "9126e64a437a3a042a36cc3861a25e2e",
      "01d51a4675f6eed9e01b7347de735fed",
      "64c7f604212330319c00e8079c5f7bbd",
-     "1635cf579bc1aab4a0ebc46bd1699387"},
+     "1635cf579bc1aab4a0ebc46bd1699387",
+     64, 192},
     {driver::SystemSetup::starnumaSwitched,
      "96a62f8cf937349e4c2b3702b42e4c82",
      "cd18537933cd5704ac34a7bb885d714c",
      "6d70cd33c1a1bfcafa5b7088c3e1289a",
-     "af7579233020ad06db3de5323c68e321"},
+     "af7579233020ad06db3de5323c68e321",
+     234, 18454},
     {driver::SystemSetup::baselineIsoBW,
      "101903d0100cf366ffd2640e7dc989ea",
      "fda760cf4ef07b4ad140dad485551d41",
      "6c62272e07bb014262b821756295c58d",
-     nullptr},
+     nullptr,
+     0, 0},
     {driver::SystemSetup::baseline2xBW,
      "101903d0100cf366ffd2640e7dc989ea",
      "fda760cf4ef07b4ad140dad485551d41",
      "6c62272e07bb014262b821756295c58d",
-     nullptr},
+     nullptr,
+     0, 0},
     {driver::SystemSetup::starnumaHalfBW,
      "92512a7d899b96d1c105fccfbccad098",
      "cd18537933cd5704ac34a7bb885d714c",
      "b67b35a6333bd1737dcc128cc4fbaf84",
-     "af7579233020ad06db3de5323c68e321"},
+     "af7579233020ad06db3de5323c68e321",
+     234, 18454},
     {driver::SystemSetup::starnumaSmallPool,
      "6384e995e2792b6bff10615c9abcf1a7",
      "cd18537933cd5704ac34a7bb885d714c",
      "4825714bcbd209ac7481f77cd8b2fa16",
-     "af7579233020ad06db3de5323c68e321"},
+     "af7579233020ad06db3de5323c68e321",
+     234, 18454},
     {driver::SystemSetup::baselineStatic,
      "4df3a44b39d2713c8a5a65980d83ab19",
      "a68d90c7f78b5822836dbc798b0b8205",
      "6c62272e07bb014262b821756295c58d",
-     nullptr},
+     nullptr,
+     0, 0},
     {driver::SystemSetup::starnumaStatic,
      "5d4d51e6490135f47519e11a49997a71",
      "a68d90c7f78b5822836dbc798b0b8205",
      "6c62272e07bb014262b821756295c58d",
-     "a68d90c7f78b5822836dbc798b0b8205"},
+     "a68d90c7f78b5822836dbc798b0b8205",
+     0, 0},
     {driver::SystemSetup::baselineReplication,
      "101903d0100cf366ffd2640e7dc989ea",
      "fda760cf4ef07b4ad140dad485551d41",
      "6c62272e07bb014262b821756295c58d",
-     nullptr},
+     nullptr,
+     0, 0},
 };
 
 /**
@@ -265,6 +278,17 @@ TEST(Golden, StepBOutputsPinnedForEveryNamedSetup)
             setup.placement != driver::Placement::StaticOracle) {
             EXPECT_EQ(r.stats.json().find("\"engine."),
                       std::string::npos);
+        }
+        // The shootdown counters are not in the serialize() image.
+        // Only the tracker policy shoots down; each migrated page
+        // either reaches or spares every core once.
+        EXPECT_EQ(r.tlbShootdownsSent, pin.shootdownsSent);
+        EXPECT_EQ(r.tlbShootdownsSaved, pin.shootdownsSaved);
+        if (setup.sys.hasPool &&
+            setup.placement != driver::Placement::StaticOracle) {
+            EXPECT_EQ(r.tlbShootdownsSent + r.tlbShootdownsSaved,
+                      r.migratedPagesTotal *
+                          static_cast<std::uint64_t>(trace.threads));
         }
     }
     sink.stop();
