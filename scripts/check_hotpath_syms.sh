@@ -81,9 +81,6 @@ MANIFEST = [
     r"starnuma::driver::TraceSim::run\(",
     r"starnuma::core::TlbAnnex::recordAccess\(",
     r"starnuma::core::TlbAnnex::recordAccessRun\(",
-    r"starnuma::core::TlbDirectory::fill\(",
-    r"starnuma::core::TlbDirectory::evict\(",
-    r"starnuma::core::TlbDirectory::shootdown\(",
     r"starnuma::core::RegionTracker::record\(",
     r"starnuma::core::PageAccessStats::record\(",
     r"starnuma::mem::PageMap::touch\(",

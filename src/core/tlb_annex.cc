@@ -1,5 +1,7 @@
 #include "core/tlb_annex.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace starnuma
@@ -59,7 +61,7 @@ TlbAnnex::flushEntry(Entry &e)
 }
 
 // lint: hot-path one lookup per LLC-missing access
-void
+TlbAnnex::Entry &
 TlbAnnex::recordAccess(Addr vaddr)
 {
     PageNum page = pageNumber(vaddr);
@@ -81,7 +83,7 @@ TlbAnnex::recordAccess(Addr vaddr)
                 ++e.counter;
             else if (counterMax == 0)
                 e.counter = 0;
-            return;
+            return e;
         }
         if (!e.valid)
             lru = &e;
@@ -90,11 +92,7 @@ TlbAnnex::recordAccess(Addr vaddr)
     }
 
     ++misses_;
-    if (directory && lru->valid)
-        directory->evict(lru->page, coreId);
     flushEntry(*lru); // PTW folds the victim's annex into memory
-    if (directory)
-        directory->fill(page, coreId);
     lru->valid = true;
     lru->page = page;
     lru->lastUse = useClock;
@@ -104,34 +102,25 @@ TlbAnnex::recordAccess(Addr vaddr)
     // page walk reaches the metadata region anyway.
     if (counterMax == 0)
         tracker.record(vaddr, socket, 0);
+    return *lru;
 }
 
 // lint: hot-path one batched update per replayed record run
 void
 TlbAnnex::recordAccessRun(Addr vaddr, std::uint64_t count)
 {
-    recordAccess(vaddr);
+    Entry &e = recordAccess(vaddr);
     if (count <= 1)
         return;
-    PageNum page = pageNumber(vaddr);
-    Entry *set = &sets[setOf(page) * ways];
-    Entry *e = nullptr;
-    for (int w = 0; w < ways; ++w) {
-        if (set[w].valid && set[w].page == page) {
-            e = &set[w];
-            break;
-        }
-    }
-    sn_assert(e != nullptr, "just-accessed page must be resident");
     std::uint64_t extra = count - 1;
     useClock += extra;
     hits_ += extra;
-    e->lastUse = useClock;
+    e.lastUse = useClock;
     if (counterMax > 0) {
-        std::uint64_t next = e->counter + extra;
-        e->counter = next > counterMax
-                         ? counterMax
-                         : static_cast<std::uint32_t>(next);
+        std::uint64_t next = e.counter + extra;
+        e.counter = next > counterMax
+                        ? counterMax
+                        : static_cast<std::uint32_t>(next);
     }
 }
 
@@ -160,12 +149,24 @@ TlbAnnex::shootdown(PageNum pn)
         if (e.valid && e.page == pn) {
             flushEntry(e);
             e.valid = false;
-            if (directory)
-                directory->evict(pn, coreId);
             return true;
         }
     }
     return false;
+}
+
+// lint: cold-path stats export, once per observed run
+std::size_t
+TlbAnnex::residentPages(std::span<const TlbAnnex> tlbs)
+{
+    std::vector<PageNum> pages;
+    for (const TlbAnnex &tlb : tlbs)
+        for (const Entry &e : tlb.sets)
+            if (e.valid)
+                pages.push_back(e.page);
+    std::sort(pages.begin(), pages.end());
+    return static_cast<std::size_t>(
+        std::unique(pages.begin(), pages.end()) - pages.begin());
 }
 
 } // namespace core

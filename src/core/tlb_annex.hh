@@ -13,10 +13,10 @@
 #define STARNUMA_CORE_TLB_ANNEX_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/region_tracker.hh"
-#include "core/tlb_directory.hh"
 #include "sim/types.hh"
 
 namespace starnuma
@@ -34,6 +34,15 @@ struct TlbConfig
 /** A core's TLB + counter annex, feeding one RegionTracker. */
 class TlbAnnex
 {
+    struct Entry
+    {
+        PageNum page;
+        std::uint64_t lastUse = 0;
+        std::uint32_t counter = 0;
+        bool valid = false;
+        bool marker = false;
+    };
+
   public:
     /**
      * @param socket the socket this core belongs to (its presence
@@ -46,8 +55,9 @@ class TlbAnnex
      * Record an LLC-missing access to @p vaddr: TLB lookup (fill on
      * miss, flushing any evicted entry's annex), counter increment,
      * and marker-triggered flush.
+     * @return the entry that now holds the page.
      */
-    void recordAccess(Addr vaddr);
+    Entry &recordAccess(Addr vaddr);
 
     /**
      * Record @p count consecutive LLC-missing accesses to @p vaddr.
@@ -68,7 +78,8 @@ class TlbAnnex
      * Invalidate the translation of page number @p page if cached
      * (a TLB shootdown for a migrating page); flushes its annex
      * first.
-     * @return true if the entry was present.
+     * @return true if the entry was present: the core is one that a
+     *         DiDi-style TLB directory (§III-D3) would target.
      */
     bool shootdown(PageNum page);
 
@@ -76,34 +87,17 @@ class TlbAnnex
     std::uint64_t tlbHits() const { return hits_; }
 
     /**
-     * Attach the DiDi-style shared TLB directory (§III-D3): fills
-     * and evictions of this TLB are mirrored there so shootdowns
-     * can target only the cores holding a translation.
+     * Distinct pages valid in at least one of @p tlbs: the pages a
+     * DiDi-style TLB directory (§III-D3) would be tracking.
      */
-    void
-    attachDirectory(TlbDirectory *dir, int core)
-    {
-        directory = dir;
-        coreId = core;
-    }
+    static std::size_t residentPages(std::span<const TlbAnnex> tlbs);
 
   private:
-    struct Entry
-    {
-        PageNum page;
-        std::uint64_t lastUse = 0;
-        std::uint32_t counter = 0;
-        bool valid = false;
-        bool marker = false;
-    };
-
     void flushEntry(Entry &e);
     std::size_t setOf(PageNum page) const;
 
     RegionTracker &tracker;
     NodeId socket;
-    TlbDirectory *directory = nullptr;
-    int coreId = 0;
     int ways;
     std::size_t numSets;
     std::uint32_t counterMax;

@@ -7,7 +7,6 @@
 #include "core/oracle.hh"
 #include "core/region_tracker.hh"
 #include "core/tlb_annex.hh"
-#include "core/tlb_directory.hh"
 #include "mem/page_map.hh"
 #include "sim/annotations.hh"
 #include "sim/logging.hh"
@@ -142,8 +141,9 @@ struct PolicyHooks
 /**
  * StarNUMA (§III-D): per-core TLB annexes fold LLC-missing accesses
  * into the shared T_i region tracker, Algorithm 1 picks the region
- * migrations at each phase end, and the DiDi-style TLB directory
- * (§III-D3) targets their shootdowns.
+ * migrations at each phase end, and their shootdowns reach only the
+ * cores whose TLBs hold each page, as the DiDi-style TLB directory
+ * (§III-D3) would target them.
  */
 class TrackerPolicy : public PolicyHooks
 {
@@ -164,19 +164,17 @@ class TrackerPolicy : public PolicyHooks
           // never shared between experiments, so concurrent sweep
           // entries draw the same sequences they would serially.
           engine(mig, setup.sys.sockets, setup.regionBytes,
-                 taskSeed({trace.workload, setup.name})),
-          directory(trace.threads)
+                 taskSeed({trace.workload, setup.name}))
     {
         tlbs.reserve(trace.threads);
         for (ThreadId t = 0; t < trace.threads; ++t) {
             // lint: cold-path per-run TLB construction
             tlbs.emplace_back(core::TlbConfig{}, tracker,
                               t / cores_per_socket);
-            tlbs.back().attachDirectory(&directory, t);
         }
     }
 
-    // The annexes point at the tracker and the directory.
+    // The annexes point at the tracker.
     TrackerPolicy(const TrackerPolicy &) = delete;
 
     // lint: cold-path one-time setup before the replay loop
@@ -187,7 +185,6 @@ class TrackerPolicy : public PolicyHooks
         core::RegionId last =
             tracker.regionOf(pageBase(base + PageNum(pages - 1)));
         tracker.preallocate(first, last - first + 1);
-        directory.preallocate(base, pages);
     }
 
     void
@@ -215,17 +212,17 @@ class TrackerPolicy : public PolicyHooks
         next.regionMigrations =
             engine.decidePhase(tracker, pm, poolPages, phase);
         // DiDi-style shootdowns: each migrated page only interrupts
-        // the cores whose TLBs hold it (§III-D3).
+        // the cores whose TLBs hold it (§III-D3). A core's annex
+        // knows whether it does, so residency is the directory.
         int ppr = tracker.pagesPerRegion();
         for (const core::RegionMigration &m : next.regionMigrations) {
             PageNum first = tracker.firstPage(m.region);
             for (int p = 0; p < ppr; ++p) {
-                PageNum page = first + PageNum(p);
-                core::TlbHolderMask mask = directory.holders(page);
-                directory.shootdown(page);
-                for (std::size_t t = 0; t < tlbs.size(); ++t)
-                    if (mask.test(static_cast<ThreadId>(t)))
-                        tlbs[t].shootdown(page);
+                std::uint64_t targeted = 0;
+                for (core::TlbAnnex &tlb : tlbs)
+                    targeted += tlb.shootdown(first + PageNum(p));
+                shootdownsSent += targeted;
+                shootdownsSaved += tlbs.size() - targeted;
             }
         }
     }
@@ -263,10 +260,10 @@ class TrackerPolicy : public PolicyHooks
                          : 0.0);
         lastMisses = misses;
         lastAccesses = accesses;
-        std::uint64_t sent = directory.shootdownsSent();
         series.sample(shootdownsStream, phase,
-                      static_cast<double>(sent - lastShootdowns));
-        lastShootdowns = sent;
+                      static_cast<double>(shootdownsSent -
+                                          lastShootdowns));
+        lastShootdowns = shootdownsSent;
     }
 
     // lint: cold-path once-per-run counters and stats export
@@ -279,12 +276,24 @@ class TrackerPolicy : public PolicyHooks
         result.poolMigrationFraction = engine.poolMigrationFraction();
         result.victimEvictions = engine.victimEvictions();
         result.pingPongSuppressed = engine.pingPongSuppressed();
-        result.tlbShootdownsSent = directory.shootdownsSent();
-        result.tlbShootdownsSaved = directory.shootdownsSaved();
+        result.tlbShootdownsSent = shootdownsSent;
+        result.tlbShootdownsSaved = shootdownsSaved;
         if (observed) {
             obs::Registry reg;
             engine.registerStats(reg, "engine");
-            directory.registerStats(reg, "tlbDirectory");
+            // The DiDi directory's view (§III-D3): the share of
+            // per-core invalidations avoided versus broadcasting, and
+            // the pages some TLB still holds.
+            std::uint64_t total = shootdownsSent + shootdownsSaved;
+            double savings = total ? static_cast<double>(shootdownsSaved) /
+                                         static_cast<double>(total)
+                                   : 0.0;
+            std::uint64_t tracked = core::TlbAnnex::residentPages(tlbs);
+            reg.addCounter("tlbDirectory.shootdownsSent", &shootdownsSent);
+            reg.addCounter("tlbDirectory.shootdownsSaved",
+                           &shootdownsSaved);
+            reg.addGauge("tlbDirectory.savingsRatio", &savings);
+            reg.addCounter("tlbDirectory.trackedPages", &tracked);
             result.stats = reg.snapshot();
             result.audit = engine.audit();
         }
@@ -295,8 +304,9 @@ class TrackerPolicy : public PolicyHooks
     NodeId poolNode;
     core::RegionTracker tracker;
     core::MigrationEngine engine;
-    core::TlbDirectory directory;
     std::vector<core::TlbAnnex> tlbs;
+    // Per-core invalidations sent to holders and spared elsewhere.
+    std::uint64_t shootdownsSent = 0, shootdownsSaved = 0;
     // Telemetry stream handles and the totals last sampled.
     obs::TimeSeries::StreamId poolPagesStream = 0, tlbMissesStream = 0,
                               tlbMissRateStream = 0,

@@ -91,8 +91,8 @@ struct TraceSimResult
     /** §V-F replication plan (empty unless enabled in the setup). */
     core::ReplicationPlan replication;
 
-    // DiDi shared-TLB-directory statistics (§III-D3): targeted
-    // shootdown messages sent vs per-core IPIs avoided.
+    // DiDi-style shootdown statistics (§III-D3): invalidations
+    // sent to the cores holding a migrated page vs IPIs avoided.
     std::uint64_t tlbShootdownsSent = 0;
     std::uint64_t tlbShootdownsSaved = 0;
 

@@ -2,8 +2,8 @@
  * @file
  * A flat table over a dense integer key range: one slot per key in
  * [base, base + size), found at key - base. The page map, the T_i
- * region tracker, the per-page access counts and the DiDi TLB
- * directory each keep their per-key state in one (DESIGN.md §12).
+ * region tracker and the per-page access counts each keep their
+ * per-key state in one (DESIGN.md §12).
  *
  * Replay reserves the trace's dense page span before the first key,
  * so a hot-path lookup is one subtraction and one bounds check. A

@@ -15,7 +15,6 @@
 #include "core/region_tracker.hh"
 #include "core/shootdown.hh"
 #include "core/tlb_annex.hh"
-#include "core/tlb_directory.hh"
 
 namespace starnuma
 {
@@ -166,6 +165,19 @@ TEST(TlbAnnex, HitsAndMissesCounted)
     tlb.recordAccess(pageBytes);
     EXPECT_EQ(tlb.tlbMisses(), 2u);
     EXPECT_EQ(tlb.tlbHits(), 1u);
+}
+
+TEST(TlbAnnex, ShootdownReportsResidency)
+{
+    // A shootdown targets a core only while its TLB holds the page,
+    // which is what a DiDi-style directory (§III-D3) records.
+    RegionTracker tracker(16, 16, kRegion);
+    TlbAnnex tlb({4, 1}, tracker, 0); // 4 sets, direct mapped
+    tlb.recordAccess(0x0);
+    tlb.recordAccess(4 * pageBytes); // same set: evicts page 0
+    EXPECT_FALSE(tlb.shootdown(PageNum(0)));
+    EXPECT_TRUE(tlb.shootdown(PageNum(4)));
+    EXPECT_FALSE(tlb.shootdown(PageNum(4)));
 }
 
 // --- MigrationEngine ---
@@ -502,63 +514,6 @@ TEST(Shootdown, SoftwareCostScalesWithCores)
     ShootdownModel m;
     EXPECT_EQ(m.softwareCost(10, 448), Cycles(10u * 448u * 4000u));
     EXPECT_GT(m.softwareCost(1, 448), 100 * m.hardwareCost(1));
-}
-
-// --- TlbDirectory (DiDi-style shared TLB directory, §III-D3) ---
-
-TEST(TlbDirectory, TracksFillsAndEvictions)
-{
-    TlbDirectory dir(64);
-    dir.fill(PageNum(10), 3);
-    dir.fill(PageNum(10), 7);
-    EXPECT_EQ(dir.holderCount(PageNum(10)), 2);
-    EXPECT_TRUE(dir.holders(PageNum(10)).test(3));
-    dir.evict(PageNum(10), 3);
-    EXPECT_EQ(dir.holderCount(PageNum(10)), 1);
-    dir.evict(PageNum(10), 7);
-    EXPECT_EQ(dir.trackedPages(), 0u);
-    dir.evict(PageNum(10), 7); // idempotent
-}
-
-TEST(TlbDirectory, ShootdownTargetsOnlyHolders)
-{
-    TlbDirectory dir(64);
-    dir.fill(PageNum(5), 1);
-    dir.fill(PageNum(5), 2);
-    EXPECT_EQ(dir.shootdown(PageNum(5)), 2);
-    EXPECT_EQ(dir.shootdownsSent(), 2u);
-    EXPECT_EQ(dir.shootdownsSaved(), 62u);
-    // The savings vs broadcasting is the whole point of DiDi.
-    EXPECT_GT(dir.savingsRatio(), 0.9);
-    EXPECT_EQ(dir.shootdown(PageNum(5)), 0); // already clear
-}
-
-TEST(TlbDirectory, SupportsWideSystems)
-{
-    TlbDirectory dir(128); // SC3: 128 threads
-    dir.fill(PageNum(1), 127);
-    dir.fill(PageNum(1), 0);
-    EXPECT_TRUE(dir.holders(PageNum(1)).test(127));
-    EXPECT_EQ(dir.holderCount(PageNum(1)), 2);
-    EXPECT_EQ(dir.shootdown(PageNum(1)), 2);
-}
-
-TEST(TlbDirectory, AnnexIntegrationMirrorsResidency)
-{
-    RegionTracker tracker(16, 16, kRegion);
-    TlbDirectory dir(4);
-    TlbAnnex tlb({4, 1}, tracker, 0); // 4 sets, direct mapped
-    tlb.attachDirectory(&dir, 2);
-
-    tlb.recordAccess(0x0);
-    EXPECT_TRUE(dir.holders(PageNum(0)).test(2));
-    // Conflict eviction (same set): directory entry follows.
-    tlb.recordAccess(4 * pageBytes);
-    EXPECT_FALSE(dir.holders(PageNum(0)).test(2));
-    EXPECT_TRUE(dir.holders(PageNum(4)).test(2));
-    // Annex-side shootdown also clears the directory.
-    tlb.shootdown(pageNumber(4 * pageBytes));
-    EXPECT_EQ(dir.holderCount(PageNum(4)), 0);
 }
 
 } // anonymous namespace

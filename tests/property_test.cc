@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <numeric>
 #include <queue>
@@ -24,7 +25,6 @@
 #include "core/page_stats.hh"
 #include "core/region_tracker.hh"
 #include "core/tlb_annex.hh"
-#include "core/tlb_directory.hh"
 #include "mem/cache.hh"
 #include "mem/page_map.hh"
 #include "mem/dram.hh"
@@ -365,6 +365,87 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int>{128, 8},
                       std::pair<int, int>{1024, 8}));
 
+// --- TLB residency: the DiDi shootdown targets (§III-D3) ---
+
+/**
+ * Step B shoots a migrated page down in every core whose annex holds
+ * it, so TLB residency is the DiDi directory's holder set. A
+ * reference of per-set LRU lists predicts every shootdown() result
+ * and the distinct resident page count, for T16 and T0 annexes,
+ * under runs, conflict evictions, markers and flushes.
+ */
+class TlbResidency
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{
+};
+
+TEST_P(TlbResidency, ShootdownsMatchReference)
+{
+    auto [seed, t0] = GetParam();
+    Rng rng(seed);
+    constexpr int cores = 5;
+    constexpr int sets = 4, ways = 4;
+    core::RegionTracker tracker(t0 ? 0 : 16, 4, 16 * 1024);
+    std::vector<core::TlbAnnex> tlbs;
+    for (int c = 0; c < cores; ++c)
+        tlbs.emplace_back(core::TlbConfig{sets * ways, ways}, tracker,
+                          c % 4);
+    // ref[core][set]: resident pages, most recently used first.
+    std::vector<std::vector<std::deque<std::uint64_t>>> ref(
+        cores, std::vector<std::deque<std::uint64_t>>(sets));
+    auto drop = [&](int c, std::uint64_t page) {
+        auto &set = ref[c][page % sets];
+        auto it = std::find(set.begin(), set.end(), page);
+        if (it == set.end())
+            return false;
+        set.erase(it);
+        return true;
+    };
+    auto distinct = [&] {
+        std::set<std::uint64_t> pages;
+        for (const auto &core_sets : ref)
+            for (const auto &set : core_sets)
+                pages.insert(set.begin(), set.end());
+        return pages.size();
+    };
+    for (int i = 0; i < 6000; ++i) {
+        std::uint64_t page = 1000 + rng.range32(48);
+        int c = static_cast<int>(rng.range32(cores));
+        switch (rng.range32(10)) {
+          case 0: // a migrated page: every core, ascending
+            for (int t = 0; t < cores; ++t) {
+                bool held = drop(t, page);
+                EXPECT_EQ(tlbs[t].shootdown(PageNum(page)), held);
+            }
+            break;
+          case 1:
+            EXPECT_EQ(tlbs[c].shootdown(PageNum(page)), drop(c, page));
+            break;
+          case 2:
+            tlbs[c].setMarkers();
+            break;
+          case 3:
+            tlbs[c].flushAll();
+            break;
+          default: {
+            std::uint64_t run = 1 + rng.range32(3);
+            tlbs[c].recordAccessRun(
+                page * pageBytes + rng.range32(pageBytes), run);
+            drop(c, page);
+            auto &set = ref[c][page % sets];
+            set.push_front(page);
+            if (set.size() > static_cast<std::size_t>(ways))
+                set.pop_back();
+          }
+        }
+        ASSERT_EQ(core::TlbAnnex::residentPages(tlbs), distinct());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsT0, TlbResidency,
+    ::testing::Combine(::testing::Values(1, 2, 3), ::testing::Bool()));
+
 // --- DRAM: completion times are sane across bank counts ---
 
 class DramBanks : public ::testing::TestWithParam<int>
@@ -496,7 +577,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadDeterminism,
 // --- Flat tables (sim/dense_table.hh): growth matches a std::map ---
 
 /**
- * Drives the four page- and region-indexed tables with random keys in
+ * Drives the three page- and region-indexed tables with random keys in
  * random order against std::map references, with and without a
  * reserved range. The keys fall inside the range a run may reserve,
  * below it (down to key 0) and far above it, so tables both with and
@@ -702,52 +783,6 @@ TEST_P(DenseTables, PageAccessStatsMatchesReference)
         }
     }
     visit();
-}
-
-TEST_P(DenseTables, TlbDirectoryMatchesReference)
-{
-    auto [seed, reserve] = GetParam();
-    Rng rng(seed);
-    const std::vector<std::uint64_t> keys = keyPool(rng);
-    constexpr int cores = 70; // holders span two mask words
-    core::TlbDirectory dir(cores);
-    if (reserve)
-        dir.preallocate(PageNum(base), span);
-    std::map<std::uint64_t, std::set<int>> ref;
-    for (int i = 0; i < 4000; ++i) {
-        std::uint64_t page = pick(rng, keys);
-        int core = static_cast<int>(rng.range32(cores));
-        switch (rng.range32(4)) {
-          case 0:
-          case 1:
-            ref[page].insert(core);
-            dir.fill(PageNum(page), core);
-            break;
-          case 2:
-            if (ref.count(page)) {
-                ref[page].erase(core);
-                if (ref[page].empty())
-                    ref.erase(page);
-            }
-            dir.evict(PageNum(page), core);
-            break;
-          default: {
-            int want = ref.count(page)
-                           ? static_cast<int>(ref[page].size())
-                           : 0;
-            ref.erase(page);
-            EXPECT_EQ(dir.shootdown(PageNum(page)), want);
-          }
-        }
-        std::uint64_t probe = pick(rng, keys);
-        core::TlbHolderMask want;
-        if (ref.count(probe))
-            for (int c : ref[probe])
-                want.set(c);
-        EXPECT_EQ(dir.holders(PageNum(probe)).words, want.words);
-        EXPECT_EQ(dir.holderCount(PageNum(probe)), want.count());
-        ASSERT_EQ(dir.trackedPages(), ref.size());
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
