@@ -34,14 +34,13 @@ class WorkQueueKernel : public workloads::Workload
         rng = Rng(99);
         // Shared: a queue of work descriptors all threads poll.
         queue.allocate(ctx, 1 << 16);
-        // Private: per-thread scratch buffers (page aligned).
-        scratch.allocate(ctx, static_cast<Addr>(threads) * 64 *
-                                  pageBytes);
+        // Private: per-thread scratch buffers (page aligned). Only
+        // their addresses are traced, so they need no host storage.
+        scratch = ctx.alloc(static_cast<Addr>(threads) * 64 * pageBytes);
         for (ThreadId t = 0; t < threads; ++t)
             for (Addr a = 0; a < 64 * pageBytes; a += pageBytes)
-                ctx.store(t, scratch.base() +
-                                 static_cast<Addr>(t) * 64 *
-                                     pageBytes + a);
+                ctx.store(t, scratch + static_cast<Addr>(t) * 64 *
+                                           pageBytes + a);
         // The queue is written by a middle "producer" thread.
         for (std::size_t i = 0; i < queue.size(); ++i)
             ctx.store(threads / 2, queue.addrOf(i));
@@ -57,8 +56,7 @@ class WorkQueueKernel : public workloads::Workload
         queue.write(ctx, t, slot, t);
         ctx.instr(t, 8);
         // Work on private scratch (local after first touch).
-        Addr base = scratch.base() +
-                    static_cast<Addr>(t) * 64 * pageBytes;
+        Addr base = scratch + static_cast<Addr>(t) * 64 * pageBytes;
         for (int i = 0; i < 12; ++i) {
             ctx.load(t, base + (rng.next32() %
                                 (64 * pageBytes / blockBytes)) *
@@ -71,7 +69,7 @@ class WorkQueueKernel : public workloads::Workload
     int threads = 0;
     Rng rng{99};
     trace::TracedArray<std::uint64_t> queue;
-    trace::TracedArray<std::uint8_t> scratch;
+    Addr scratch = 0; ///< per-thread scratch buffers
 };
 
 } // anonymous namespace

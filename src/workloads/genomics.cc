@@ -68,6 +68,23 @@ rotationSuffixArray(const std::vector<std::uint8_t> &text)
     return sa;
 }
 
+OccTable::OccTable(const std::vector<std::uint8_t> &symbols)
+    : blocks(symbols.size() / stride + 1)
+{
+    std::array<std::uint32_t, 4> running{};
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        Block &block = blocks[b];
+        block.count = running;
+        std::size_t end = std::min(symbols.size(), (b + 1) * stride);
+        for (std::size_t i = b * stride; i < end; ++i) {
+            std::uint8_t c = symbols[i];
+            block.lo |= std::uint64_t(c & 1) << (i % stride);
+            block.hi |= std::uint64_t(c >> 1) << (i % stride);
+            ++running[c];
+        }
+    }
+}
+
 Fmi::Fmi(std::uint64_t rng_seed, std::uint32_t text_size,
          int pattern_length)
     : seed(rng_seed), n(text_size), patternLength(pattern_length)
@@ -90,8 +107,8 @@ Fmi::setup(trace::CaptureContext &ctx, const SimScale &scale)
 
     std::vector<std::uint32_t> sa = rotationSuffixArray(text);
 
-    // BWT and C table.
-    bwt.resize(n);
+    // BWT, C table and occurrence table.
+    std::vector<std::uint8_t> bwt(n);
     cTable.fill(0);
     for (std::uint32_t i = 0; i < n; ++i) {
         bwt[i] = text[(sa[i] + n - 1) & (n - 1)];
@@ -99,69 +116,47 @@ Fmi::setup(trace::CaptureContext &ctx, const SimScale &scale)
     }
     for (int c = 1; c <= 4; ++c)
         cTable[c] += cTable[c - 1];
+    occ = OccTable(bwt);
 
-    // Occurrence checkpoints every 64 BWT positions.
-    checkpoints.assign(n / checkpointStride + 1, {});
-    std::array<std::uint32_t, 4> running{};
-    for (std::uint32_t i = 0; i < n; ++i) {
-        if (i % checkpointStride == 0)
-            checkpoints[i / checkpointStride] = running;
-        ++running[bwt[i]];
-    }
-    checkpoints[n / checkpointStride] = running;
-
-    bwtMem.allocate(ctx, n);
-    occMem.allocate(ctx, checkpoints.size() * 16);
-    queryMem.allocate(ctx,
-                      static_cast<Addr>(threads) * pageBytes);
+    Addr occ_bytes = occ.blockCount() * 16;
+    bwtBase = ctx.alloc(n);
+    occBase = ctx.alloc(occ_bytes);
+    queryBase = ctx.alloc(static_cast<Addr>(threads) * pageBytes);
     // Per-thread read sets and result buffers: the bulk of a real
     // alignment pipeline's footprint, streamed through rarely. The
     // shared index stays a small, hot fraction of memory, as in
     // GenomicsBench (whose inputs dwarf the index).
     Addr reads_per_thread = 64 * pageBytes;
-    readsMem.allocate(ctx,
-                      static_cast<Addr>(threads) * reads_per_thread);
+    readsBase = ctx.alloc(static_cast<Addr>(threads) * reads_per_thread);
 
     // Partitioned index build: thread t first-touches its slice.
     for (int t = 0; t < threads; ++t) {
         Addr lo = static_cast<Addr>(n) * t / threads;
         Addr hi = static_cast<Addr>(n) * (t + 1) / threads;
         for (Addr a = lo; a < hi; a += pageBytes)
-            ctx.store(t, bwtMem.base() + a);
-        Addr olo = checkpoints.size() * 16 * t / threads;
-        Addr ohi = checkpoints.size() * 16 * (t + 1) / threads;
+            ctx.store(t, bwtBase + a);
+        Addr olo = occ_bytes * t / threads;
+        Addr ohi = occ_bytes * (t + 1) / threads;
         for (Addr a = olo; a < ohi; a += pageBytes)
-            ctx.store(t, occMem.base() + a);
-        ctx.store(t, queryMem.base() + t * pageBytes);
+            ctx.store(t, occBase + a);
+        ctx.store(t, queryBase + t * pageBytes);
         for (Addr a = 0; a < 64 * pageBytes; a += pageBytes)
-            ctx.store(t, readsMem.base() +
-                             static_cast<Addr>(t) * 64 * pageBytes +
-                             a);
+            ctx.store(t, readsBase +
+                             static_cast<Addr>(t) * 64 * pageBytes + a);
     }
-}
-
-std::uint32_t
-Fmi::occCount(int c, std::uint32_t pos) const
-{
-    std::uint32_t cp = pos / checkpointStride;
-    std::uint32_t count = checkpoints[cp][c];
-    for (std::uint32_t i = cp * checkpointStride; i < pos; ++i)
-        count += (bwt[i] == c);
-    return count;
 }
 
 std::uint32_t
 Fmi::occCountTraced(trace::CaptureContext &ctx, ThreadId t, int c,
                     std::uint32_t pos)
 {
-    std::uint32_t cp = pos / checkpointStride;
+    std::uint32_t cp = pos / OccTable::stride;
     // One load for the checkpoint entry, one for the BWT line the
     // residual scan covers (64 chars fit one cache line).
-    ctx.load(t, occMem.base() + static_cast<Addr>(cp) * 16);
-    ctx.load(t, bwtMem.base() + static_cast<Addr>(cp) *
-                                    checkpointStride);
+    ctx.load(t, occBase + static_cast<Addr>(cp) * 16);
+    ctx.load(t, bwtBase + static_cast<Addr>(cp) * OccTable::stride);
     ctx.instr(t, 10);
-    return occCount(c, pos);
+    return occ.count(c, pos);
 }
 
 std::uint64_t
@@ -170,8 +165,8 @@ Fmi::count(const std::string &pattern) const
     std::uint32_t lo = 0, hi = n;
     for (auto it = pattern.rbegin(); it != pattern.rend(); ++it) {
         int c = *it;
-        lo = cTable[c] + occCount(c, lo);
-        hi = cTable[c] + occCount(c, hi);
+        lo = cTable[c] + occ.count(c, lo);
+        hi = cTable[c] + occ.count(c, hi);
         if (lo >= hi)
             return 0;
     }
@@ -186,12 +181,10 @@ Fmi::step(ThreadId t, trace::CaptureContext &ctx)
     // set, then backward-search it against the shared index.
     std::uint32_t start =
         rng.range32(n - static_cast<std::uint32_t>(patternLength));
-    ctx.load(t, readsMem.base() +
-                    static_cast<Addr>(t) * 64 * pageBytes +
+    ctx.load(t, readsBase + static_cast<Addr>(t) * 64 * pageBytes +
                     (rng.next32() % (64 * pageBytes / blockBytes)) *
                         blockBytes);
-    ctx.load(t, queryMem.base() +
-                    static_cast<Addr>(t) * pageBytes);
+    ctx.load(t, queryBase + static_cast<Addr>(t) * pageBytes);
     ctx.instr(t, 6);
 
     std::uint32_t lo = 0, hi = n;
@@ -242,7 +235,7 @@ Poa::cellAddr(ThreadId t, int node, int j) const
     // between threads (POA's whole point is thread privacy).
     Addr per_thread = roundToPage(
         static_cast<Addr>(maxNodes) * (seqLength + 1) * 2);
-    return matrixMem.base() + static_cast<Addr>(t) * per_thread +
+    return matrixBase + static_cast<Addr>(t) * per_thread +
            (static_cast<Addr>(node) * (seqLength + 1) + j) * 2;
 }
 
@@ -250,7 +243,7 @@ Addr
 Poa::dagAddr(ThreadId t, int node) const
 {
     Addr per_thread = roundToPage(static_cast<Addr>(maxNodes) * 8);
-    return dagMem.base() + static_cast<Addr>(t) * per_thread +
+    return dagBase + static_cast<Addr>(t) * per_thread +
            static_cast<Addr>(node) * 8;
 }
 
@@ -265,9 +258,8 @@ Poa::setup(trace::CaptureContext &ctx, const SimScale &scale)
     Addr matrix_stride = roundToPage(
         static_cast<Addr>(maxNodes) * (seqLength + 1) * 2);
     Addr dag_stride = roundToPage(static_cast<Addr>(maxNodes) * 8);
-    matrixMem.allocate(ctx,
-                       static_cast<Addr>(threads) * matrix_stride);
-    dagMem.allocate(ctx, static_cast<Addr>(threads) * dag_stride);
+    matrixBase = ctx.alloc(static_cast<Addr>(threads) * matrix_stride);
+    dagBase = ctx.alloc(static_cast<Addr>(threads) * dag_stride);
 
     for (ThreadId t = 0; t < threads; ++t) {
         ThreadPoa &s = state[t];

@@ -14,6 +14,7 @@
 #define STARNUMA_WORKLOADS_GENOMICS_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +36,47 @@ namespace workloads
 std::vector<std::uint32_t>
 rotationSuffixArray(const std::vector<std::uint8_t> &text);
 
+/**
+ * Occurrence counts over a sequence of symbols 0..3 (a BWT):
+ * count(c, pos) is the number of c among its first pos symbols. One
+ * 32-byte block per 64 positions holds the four counts before the
+ * block and the two bit planes of its symbols, so a query reads one
+ * block and counts the matching bits below pos.
+ */
+class OccTable
+{
+  public:
+    static constexpr std::uint32_t stride = 64; ///< positions per block
+
+    OccTable() = default;
+    explicit OccTable(const std::vector<std::uint8_t> &symbols);
+
+    std::uint32_t
+    count(int c, std::uint32_t pos) const
+    {
+        const Block &b = blocks[pos / stride];
+        // All-ones where a plane's bit must be set, else all-zeros.
+        std::uint64_t lo = b.lo ^ (std::uint64_t(c & 1) - 1);
+        std::uint64_t hi = b.hi ^ (std::uint64_t(c >> 1) - 1);
+        std::uint64_t below = (std::uint64_t(1) << (pos % stride)) - 1;
+        return b.count[c] +
+               static_cast<std::uint32_t>(std::popcount(lo & hi & below));
+    }
+
+    /** Blocks: one per 64 positions, plus one at the end. */
+    std::size_t blockCount() const { return blocks.size(); }
+
+  private:
+    struct alignas(32) Block
+    {
+        std::array<std::uint32_t, 4> count{};
+        std::uint64_t lo = 0; ///< bit i: low bit of symbol i
+        std::uint64_t hi = 0; ///< bit i: high bit of symbol i
+    };
+
+    std::vector<Block> blocks;
+};
+
 /** FM-index (Full-text Minute-space Index) backward search. */
 class Fmi : public Workload
 {
@@ -51,13 +93,7 @@ class Fmi : public Workload
     /** Untraced count query (correctness checks). */
     std::uint64_t count(const std::string &pattern) const;
 
-    std::uint32_t textSize() const { return n; }
-
   private:
-    static constexpr int checkpointStride = 64;
-
-    std::uint8_t occAt(int c, std::uint32_t pos) const;
-    std::uint32_t occCount(int c, std::uint32_t pos) const;
     std::uint32_t occCountTraced(trace::CaptureContext &ctx,
                                  ThreadId t, int c,
                                  std::uint32_t pos);
@@ -67,14 +103,15 @@ class Fmi : public Workload
     int patternLength;
 
     std::vector<std::uint8_t> text; ///< 0..3 = ACGT
-    std::vector<std::uint8_t> bwt;
     std::array<std::uint32_t, 5> cTable{}; ///< cumulative counts
-    std::vector<std::array<std::uint32_t, 4>> checkpoints;
+    OccTable occ;
 
-    trace::TracedArray<std::uint8_t> bwtMem;
-    trace::TracedArray<std::uint8_t> occMem;
-    trace::TracedArray<std::uint8_t> queryMem; ///< per-thread slots
-    trace::TracedArray<std::uint8_t> readsMem; ///< cold read sets
+    // Simulated layout: the BWT at one byte per symbol, then the
+    // occurrence checkpoints at 16 B per 64 positions.
+    Addr bwtBase = 0;
+    Addr occBase = 0;
+    Addr queryBase = 0; ///< per-thread slots
+    Addr readsBase = 0; ///< cold read sets
 
     std::vector<Rng> threadRng;
 };
@@ -125,8 +162,8 @@ class Poa : public Workload
     int threads = 0;
 
     std::vector<ThreadPoa> state;
-    trace::TracedArray<std::uint8_t> matrixMem; ///< all threads
-    trace::TracedArray<std::uint8_t> dagMem;
+    Addr matrixBase = 0; ///< all threads
+    Addr dagBase = 0;
 };
 
 } // namespace workloads

@@ -34,28 +34,33 @@ CsrGraph::kronecker(int scale, int avg_degree, Rng &rng)
             edge_list.emplace_back(u, v);
     }
 
-    // Symmetrize into CSR with sorted adjacency.
-    std::vector<std::uint64_t> degree_count(n + 1, 0);
-    for (auto [u, v] : edge_list) {
-        ++degree_count[u + 1];
-        ++degree_count[v + 1];
-    }
+    // Symmetrize into CSR, then sort every adjacency list with a
+    // second counting scatter: appending x to each neighbour's list
+    // for x in ascending order leaves every list ascending, and the
+    // graph is symmetric, so y's list still holds x once per edge.
     CsrGraph g;
     g.vertices = n;
     g.offsets.assign(n + 1, 0);
+    for (auto [u, v] : edge_list) {
+        ++g.offsets[u + 1];
+        ++g.offsets[v + 1];
+    }
     for (std::uint32_t v = 0; v < n; ++v)
-        g.offsets[v + 1] = g.offsets[v] + degree_count[v + 1];
-    g.neighbors.assign(g.offsets[n], 0);
+        g.offsets[v + 1] += g.offsets[v];
 
+    std::vector<std::uint32_t> unsorted(g.offsets[n]);
     std::vector<std::uint64_t> cursor(g.offsets.begin(),
                                       g.offsets.end() - 1);
     for (auto [u, v] : edge_list) {
-        g.neighbors[cursor[u]++] = v;
-        g.neighbors[cursor[v]++] = u;
+        unsorted[cursor[u]++] = v;
+        unsorted[cursor[v]++] = u;
     }
-    for (std::uint32_t v = 0; v < n; ++v)
-        std::sort(g.neighbors.begin() + g.offsets[v],
-                  g.neighbors.begin() + g.offsets[v + 1]);
+    edge_list = {};
+    std::copy(g.offsets.begin(), g.offsets.end() - 1, cursor.begin());
+    g.neighbors.resize(unsorted.size());
+    for (std::uint32_t x = 0; x < n; ++x)
+        for (std::uint64_t e = g.offsets[x]; e < g.offsets[x + 1]; ++e)
+            g.neighbors[cursor[unsorted[e]]++] = x;
     return g;
 }
 

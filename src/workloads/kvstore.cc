@@ -1,7 +1,5 @@
 #include "workloads/kvstore.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace starnuma
@@ -24,12 +22,18 @@ KvStore::KvStore(std::uint64_t rng_seed, std::uint32_t keys,
                  double read_fraction)
     : seed(rng_seed), numKeys(keys), readFraction(read_fraction)
 {
-}
-
-std::uint64_t
-KvStore::keyAt(std::uint32_t i) const
-{
-    return i; // dense key space; uniform popularity via index draw
+    sn_assert(numKeys > 0, "kvstore needs at least one key");
+    // Level sizes, leaves up: ceil(keys / fanout) leaves, then
+    // ceil(width / (fanout + 1)) nodes per level up to one root.
+    levelBase.push_back(0);
+    std::uint32_t width = (numKeys - 1) / fanout + 1;
+    for (;;) {
+        levelBase.push_back(levelBase.back() + width);
+        if (width == 1)
+            break;
+        width = (width - 1) / (fanout + 1) + 1;
+    }
+    sn_assert(treeDepth() <= maxLevels, "kvstore tree too deep");
 }
 
 void
@@ -40,113 +44,55 @@ KvStore::setup(trace::CaptureContext &ctx, const SimScale &scale)
     for (int t = 0; t < threads; ++t)
         threadRng.emplace_back(seed + 1000 + t);
 
-    // Bulk-load, bottom up. Leaves map keys to value ids.
-    nodes.clear();
-    values.assign(numKeys, 0);
-    std::vector<std::uint32_t> level;
-    std::vector<std::uint64_t> level_min;
-    for (std::uint32_t k = 0; k < numKeys; k += fanout) {
-        Node n;
-        n.leaf = true;
-        n.count = static_cast<int>(
-            std::min<std::uint32_t>(fanout, numKeys - k));
-        for (int i = 0; i < n.count; ++i) {
-            n.keys[i] = keyAt(k + i);
-            n.child[i] = k + i; // value id
-            values[k + i] = keyAt(k + i) * 3 + 1;
-        }
-        level.push_back(static_cast<std::uint32_t>(nodes.size()));
-        level_min.push_back(n.keys[0]);
-        nodes.push_back(n);
-    }
-    depth = 1;
-    while (level.size() > 1) {
-        std::vector<std::uint32_t> up;
-        std::vector<std::uint64_t> up_min;
-        for (std::size_t i = 0; i < level.size(); i += fanout + 1) {
-            Node n;
-            n.leaf = false;
-            std::size_t kids = std::min<std::size_t>(
-                fanout + 1, level.size() - i);
-            n.count = static_cast<int>(kids) - 1;
-            for (std::size_t j = 0; j < kids; ++j) {
-                n.child[j] = level[i + j];
-                if (j > 0)
-                    n.keys[j - 1] = level_min[i + j];
-            }
-            up.push_back(static_cast<std::uint32_t>(nodes.size()));
-            up_min.push_back(level_min[i]);
-            nodes.push_back(n);
-        }
-        level.swap(up);
-        level_min.swap(up_min);
-        ++depth;
-    }
-    root = level.front();
+    values.resize(numKeys);
+    for (std::uint32_t k = 0; k < numKeys; ++k)
+        values[k] = std::uint64_t(k) * 3 + 1;
 
-    nodeMem.allocate(ctx, nodes.size() * nodeBytes);
-    valueMem.allocate(ctx, static_cast<Addr>(numKeys) * valueBytes);
+    const std::uint32_t leaves = levelBase[1];
+    const std::uint32_t nodes = levelBase.back();
+    nodeBase = ctx.alloc(static_cast<Addr>(nodes) * nodeBytes);
+    valueBase = ctx.alloc(static_cast<Addr>(numKeys) * valueBytes);
 
     // Partitioned load phase: thread t first-touches the values and
-    // leaves of its key range; the top of the tree lands wherever
-    // the finishing thread runs (here: thread 0).
+    // leaves of its key range; the internal nodes land wherever
+    // the finishing thread runs.
     for (int t = 0; t < threads; ++t) {
         std::uint32_t lo = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(numKeys) * t / threads);
         std::uint32_t hi = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(numKeys) * (t + 1) / threads);
         for (std::uint32_t k = lo; k < hi; ++k)
-            ctx.store(t, valueMem.base() + k * valueBytes);
+            ctx.store(t, valueBase + k * valueBytes);
         for (std::uint32_t leaf = lo / fanout;
              leaf <= (hi ? (hi - 1) / fanout : 0); ++leaf)
-            ctx.store(t, nodeMem.base() + leaf * nodeBytes);
+            ctx.store(t, nodeBase + leaf * nodeBytes);
     }
     ThreadId finisher = threads / 2;
-    for (std::size_t n = numKeys / fanout + 1; n < nodes.size(); ++n)
-        ctx.store(finisher, nodeMem.base() + n * nodeBytes);
-}
-
-std::uint32_t
-KvStore::descend(trace::CaptureContext &ctx, ThreadId t,
-                 std::uint64_t key)
-{
-    std::uint32_t cur = root;
-    for (;;) {
-        const Node &n = nodes[cur];
-        Addr base = nodeMem.base() + cur * nodeBytes;
-        // A binary search over the node touches its key lines and
-        // the child-pointer line.
-        ctx.load(t, base);
-        ctx.load(t, base + 2 * blockBytes);
-        ctx.instr(t, 8);
-        if (n.leaf) {
-            const std::uint64_t *pos = std::lower_bound(
-                n.keys, n.keys + n.count, key);
-            sn_assert(pos != n.keys + n.count && *pos == key,
-                      "kvstore descend lost key");
-            return n.child[pos - n.keys];
-        }
-        const std::uint64_t *pos =
-            std::upper_bound(n.keys, n.keys + n.count, key);
-        cur = n.child[pos - n.keys];
-    }
+    for (std::uint32_t n = leaves; n < nodes; ++n)
+        ctx.store(finisher, nodeBase + n * nodeBytes);
 }
 
 void
 KvStore::step(ThreadId t, trace::CaptureContext &ctx)
 {
     Rng &rng = threadRng[t];
-    std::uint32_t idx = rng.range32(numKeys);
-    std::uint64_t key = keyAt(idx);
-    std::uint32_t vid = descend(ctx, t, key);
-    Addr vaddr = valueMem.base() + static_cast<Addr>(vid) *
-                                       valueBytes;
+    std::uint32_t key = rng.range32(numKeys);
+    // Root-to-leaf descent: a binary search over each node touches
+    // its key lines and the child-pointer line.
+    Path path = pathTo(key);
+    for (int k = treeDepth() - 1; k >= 0; --k) {
+        Addr node = nodeBase + path[k] * nodeBytes;
+        ctx.load(t, node);
+        ctx.load(t, node + 2 * blockBytes);
+        ctx.instr(t, 8);
+    }
+    Addr vaddr = valueBase + static_cast<Addr>(key) * valueBytes;
     if (rng.chance(readFraction)) {
         ctx.load(t, vaddr);
         ctx.instr(t, 12);
     } else {
         ctx.load(t, vaddr);
-        values[vid] = key * 7 + rng.next32() % 16;
+        values[key] = std::uint64_t(key) * 7 + rng.next32() % 16;
         ctx.store(t, vaddr);
         ctx.instr(t, 14);
     }
@@ -157,21 +103,8 @@ KvStore::lookupValue(std::uint64_t key, std::uint64_t *out) const
 {
     if (key >= numKeys)
         return false;
-    std::uint32_t cur = root;
-    for (;;) {
-        const Node &n = nodes[cur];
-        if (n.leaf) {
-            const std::uint64_t *pos = std::lower_bound(
-                n.keys, n.keys + n.count, key);
-            if (pos == n.keys + n.count || *pos != key)
-                return false;
-            *out = values[n.child[pos - n.keys]];
-            return true;
-        }
-        const std::uint64_t *pos =
-            std::upper_bound(n.keys, n.keys + n.count, key);
-        cur = n.child[pos - n.keys];
-    }
+    *out = values[key];
+    return true;
 }
 
 } // namespace workloads

@@ -11,6 +11,7 @@
 #ifndef STARNUMA_WORKLOADS_KVSTORE_HH
 #define STARNUMA_WORKLOADS_KVSTORE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -22,7 +23,11 @@ namespace starnuma
 namespace workloads
 {
 
-/** Fixed-fanout B+-tree over uint64 keys with 64 B values. */
+/**
+ * Fixed-fanout B+-tree over uint64 keys with 64 B values, bulk-loaded
+ * over the dense keys 0..numKeys-1. Its shape depends only on
+ * numKeys, so a descent's nodes are computed (DESIGN.md §18).
+ */
 class KvStore : public Workload
 {
   public:
@@ -38,35 +43,47 @@ class KvStore : public Workload
     /** Untraced lookup, for correctness tests. */
     bool lookupValue(std::uint64_t key, std::uint64_t *out) const;
 
-    int treeDepth() const { return depth; }
+    /** Levels of the tree, the leaves included. */
+    int
+    treeDepth() const
+    {
+        return static_cast<int>(levelBase.size()) - 1;
+    }
+
+    static constexpr int fanout = 14; ///< keys per leaf
+    static constexpr int maxLevels = 9; ///< enough for 2^32 keys
+
+    /** Node ids on a descent, indexed by level (0 = the leaf). */
+    using Path = std::array<std::uint32_t, maxLevels>;
+
+    /**
+     * The nodes a descent to @p key < numKeys visits. Each leaf holds
+     * `fanout` consecutive keys and each internal node `fanout + 1`
+     * consecutive nodes of the level below.
+     */
+    Path
+    pathTo(std::uint32_t key) const
+    {
+        Path ids{};
+        std::uint32_t index = key / fanout; // within the level
+        for (int k = 0; k < treeDepth(); ++k) {
+            ids[k] = levelBase[k] + index;
+            index /= fanout + 1;
+        }
+        return ids;
+    }
 
   private:
-    static constexpr int fanout = 14; ///< keys per node
-
-    struct Node
-    {
-        std::uint64_t keys[fanout];
-        std::uint32_t child[fanout + 1]; ///< node id or value id
-        int count = 0;
-        bool leaf = true;
-    };
-
-    /** Traced root-to-leaf descent; returns the value id. */
-    std::uint32_t descend(trace::CaptureContext &ctx, ThreadId t,
-                          std::uint64_t key);
-
-    std::uint64_t keyAt(std::uint32_t i) const;
-
     std::uint64_t seed;
     std::uint32_t numKeys;
     double readFraction;
-    int depth = 0;
-    std::uint32_t root = 0;
 
-    std::vector<Node> nodes;
-    trace::TracedArray<std::uint8_t> nodeMem;  ///< node storage
-    trace::TracedArray<std::uint8_t> valueMem; ///< 64 B per value
-    std::vector<std::uint64_t> values;
+    /** Id of each level's first node; the last entry is the count. */
+    std::vector<std::uint32_t> levelBase;
+
+    Addr nodeBase = 0;  ///< node storage
+    Addr valueBase = 0; ///< 64 B per value
+    std::vector<std::uint64_t> values; ///< indexed by key
     std::vector<Rng> threadRng;
 };
 

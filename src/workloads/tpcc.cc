@@ -36,13 +36,12 @@ Tpcc::setup(trace::CaptureContext &ctx, const SimScale &scale)
     std::size_t n_stock =
         static_cast<std::size_t>(warehouses) * items;
 
-    whTable.allocate(ctx, static_cast<Addr>(warehouses) * pageBytes);
-    distTable.allocate(ctx,
-                       static_cast<Addr>(warehouses) * pageBytes);
-    custTable.allocate(ctx, n_cust * custRowBytes);
-    stockTable.allocate(ctx, n_stock * rowBytes);
-    itemTable.allocate(ctx, items * rowBytes);
-    orderLines.allocate(ctx, n_dist * olRingPerDistrict * rowBytes);
+    whTable = ctx.alloc(static_cast<Addr>(warehouses) * pageBytes);
+    distTable = ctx.alloc(static_cast<Addr>(warehouses) * pageBytes);
+    custTable = ctx.alloc(n_cust * custRowBytes);
+    stockTable = ctx.alloc(n_stock * rowBytes);
+    itemTable = ctx.alloc(items * rowBytes);
+    orderLines = ctx.alloc(n_dist * olRingPerDistrict * rowBytes);
 
     whYtd.assign(warehouses, 0.0);
     distNextOrder.assign(n_dist, 1);
@@ -61,29 +60,27 @@ Tpcc::setup(trace::CaptureContext &ctx, const SimScale &scale)
         int wh = homeWarehouse(t);
         if (t >= warehouses)
             continue; // one loader per warehouse
-        ctx.store(t, whTable.base() + wh * pageBytes);
+        ctx.store(t, whTable + wh * pageBytes);
         for (int d = 0; d < districts; ++d) {
             std::size_t did =
                 static_cast<std::size_t>(wh) * districts + d;
-            ctx.store(t, distTable.base() + wh * pageBytes +
-                             d * rowBytes);
+            ctx.store(t, distTable + wh * pageBytes + d * rowBytes);
             for (int c = 0; c < customers; ++c)
-                ctx.store(t, custTable.base() +
-                                 (did * customers + c) *
-                                     custRowBytes);
+                ctx.store(t, custTable +
+                                 (did * customers + c) * custRowBytes);
             for (std::size_t ol = 0; ol < olRingPerDistrict; ++ol)
-                ctx.store(t, orderLines.base() +
+                ctx.store(t, orderLines +
                                  (did * olRingPerDistrict + ol) *
                                      rowBytes);
         }
         for (int i = 0; i < items; ++i)
-            ctx.store(t, stockTable.base() +
-                             (static_cast<std::size_t>(wh) * items +
-                              i) * rowBytes);
+            ctx.store(t, stockTable +
+                             (static_cast<std::size_t>(wh) * items + i) *
+                                 rowBytes);
     }
     ThreadId loader = threads / 2;
     for (int i = 0; i < items; ++i)
-        ctx.store(loader, itemTable.base() + i * rowBytes);
+        ctx.store(loader, itemTable + i * rowBytes);
 }
 
 void
@@ -95,15 +92,15 @@ Tpcc::newOrder(ThreadId t, trace::CaptureContext &ctx)
     std::size_t did = static_cast<std::size_t>(wh) * districts + d;
 
     // Read warehouse tax, read+write district next-order id.
-    ctx.load(t, whTable.base() + wh * pageBytes);
-    Addr dist_row = distTable.base() + wh * pageBytes + d * rowBytes;
+    ctx.load(t, whTable + wh * pageBytes);
+    Addr dist_row = distTable + wh * pageBytes + d * rowBytes;
     ctx.load(t, dist_row);
     std::uint32_t o_id = distNextOrder[did]++;
     ctx.store(t, dist_row);
 
     // Read the ordering customer.
     std::size_t cid = did * customers + rng.range32(customers);
-    ctx.load(t, custTable.base() + cid * custRowBytes);
+    ctx.load(t, custTable + cid * custRowBytes);
     ctx.instr(t, 24);
 
     int lines = 5 + static_cast<int>(rng.range32(11)); // 5..15
@@ -111,7 +108,7 @@ Tpcc::newOrder(ThreadId t, trace::CaptureContext &ctx)
         // Popular-item skew: a small fraction of the catalog takes
         // most order lines (NURand-flavored).
         std::uint32_t item = rng.skewed(items, 2.0);
-        ctx.load(t, itemTable.base() + item * rowBytes);
+        ctx.load(t, itemTable + item * rowBytes);
 
         // TPC-C: 1% of order lines come from a remote warehouse.
         int supply_wh = wh;
@@ -122,16 +119,16 @@ Tpcc::newOrder(ThreadId t, trace::CaptureContext &ctx)
         }
         std::size_t sid =
             static_cast<std::size_t>(supply_wh) * items + item;
-        ctx.load(t, stockTable.base() + sid * rowBytes);
+        ctx.load(t, stockTable + sid * rowBytes);
         stockQty[sid] -= 1 + static_cast<int>(rng.range32(10));
         if (stockQty[sid] < 10)
             stockQty[sid] += 91;
-        ctx.store(t, stockTable.base() + sid * rowBytes);
+        ctx.store(t, stockTable + sid * rowBytes);
 
         // Append the order line into the district's ring.
         std::size_t slot = did * olRingPerDistrict +
                            (olCursor[did]++ % olRingPerDistrict);
-        ctx.store(t, orderLines.base() + slot * rowBytes);
+        ctx.store(t, orderLines + slot * rowBytes);
         ctx.instr(t, 18);
     }
     (void)o_id;
@@ -162,14 +159,14 @@ Tpcc::payment(ThreadId t, trace::CaptureContext &ctx)
 
     // Update home warehouse and district YTD (hot per-warehouse
     // rows), then the customer's balance (possibly remote).
-    ctx.load(t, whTable.base() + wh * rowBytes);
+    ctx.load(t, whTable + wh * rowBytes);
     whYtd[wh] += amount;
-    ctx.store(t, whTable.base() + wh * pageBytes);
-    ctx.load(t, distTable.base() + home_did * rowBytes);
-    ctx.store(t, distTable.base() + home_did * rowBytes);
-    ctx.load(t, custTable.base() + cid * custRowBytes);
+    ctx.store(t, whTable + wh * pageBytes);
+    ctx.load(t, distTable + home_did * rowBytes);
+    ctx.store(t, distTable + home_did * rowBytes);
+    ctx.load(t, custTable + cid * custRowBytes);
     custBalance[cid] -= amount;
-    ctx.store(t, custTable.base() + cid * custRowBytes);
+    ctx.store(t, custTable + cid * custRowBytes);
     ctx.instr(t, 30);
     ++payments;
 }

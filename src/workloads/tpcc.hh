@@ -57,13 +57,13 @@ class Tpcc : public Workload
     int items;
     int threads = 0;
 
-    // Traced table storage (one row = one 64 B slot multiple).
-    trace::TracedArray<std::uint8_t> whTable;
-    trace::TracedArray<std::uint8_t> distTable;
-    trace::TracedArray<std::uint8_t> custTable;
-    trace::TracedArray<std::uint8_t> stockTable;
-    trace::TracedArray<std::uint8_t> itemTable;
-    trace::TracedArray<std::uint8_t> orderLines;
+    // Simulated table bases (one row = one 64 B slot multiple).
+    Addr whTable = 0;
+    Addr distTable = 0;
+    Addr custTable = 0;
+    Addr stockTable = 0;
+    Addr itemTable = 0;
+    Addr orderLines = 0;
 
     // Real state mirrored behind the traced accesses.
     std::vector<double> whYtd;

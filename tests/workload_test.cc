@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "trace/profile.hh"
 #include "workloads/gap.hh"
@@ -92,6 +94,73 @@ TEST(CsrGraph, DeterministicForSeed)
     EXPECT_EQ(g1.neighbors, g2.neighbors);
 }
 
+// The reference build: scatter each edge into both endpoints' lists
+// in edge order, then sort every list.
+CsrGraph
+sortedScatterKronecker(int scale, int avg_degree, Rng &rng)
+{
+    std::uint32_t n = 1u << scale;
+    std::uint64_t edges =
+        static_cast<std::uint64_t>(n) * avg_degree / 2;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_list;
+    while (edge_list.size() < edges) {
+        std::uint32_t u = 0, v = 0;
+        for (int bit = 0; bit < scale; ++bit) {
+            double r = rng.uniform();
+            int quadrant = r < 0.57 ? 0 : r < 0.76 ? 1 : r < 0.95 ? 2 : 3;
+            u = (u << 1) | (quadrant >> 1);
+            v = (v << 1) | (quadrant & 1);
+        }
+        if (u != v)
+            edge_list.emplace_back(u, v);
+    }
+    CsrGraph g;
+    g.vertices = n;
+    g.offsets.assign(n + 1, 0);
+    for (auto [u, v] : edge_list) {
+        ++g.offsets[u + 1];
+        ++g.offsets[v + 1];
+    }
+    for (std::uint32_t v = 0; v < n; ++v)
+        g.offsets[v + 1] += g.offsets[v];
+    g.neighbors.assign(g.offsets[n], 0);
+    std::vector<std::uint64_t> cursor(g.offsets.begin(),
+                                      g.offsets.end() - 1);
+    for (auto [u, v] : edge_list) {
+        g.neighbors[cursor[u]++] = v;
+        g.neighbors[cursor[v]++] = u;
+    }
+    for (std::uint32_t v = 0; v < n; ++v)
+        std::sort(g.neighbors.begin() + g.offsets[v],
+                  g.neighbors.begin() + g.offsets[v + 1]);
+    return g;
+}
+
+// The counting-scatter build gives the sorted-scatter graph exactly,
+// duplicate edges included (small scales are full of them).
+TEST(CsrGraph, CountingScatterMatchesSortedScatter)
+{
+    std::uint64_t duplicates = 0;
+    for (std::uint64_t seed : {1, 13}) {
+        for (int scale = 1; scale <= 12; ++scale) {
+            Rng a(seed), b(seed);
+            CsrGraph g = CsrGraph::kronecker(scale, 8, a);
+            CsrGraph ref = sortedScatterKronecker(scale, 8, b);
+            EXPECT_EQ(g.vertices, ref.vertices);
+            EXPECT_EQ(g.offsets, ref.offsets)
+                << "scale " << scale << " seed " << seed;
+            EXPECT_EQ(g.neighbors, ref.neighbors)
+                << "scale " << scale << " seed " << seed;
+            for (std::uint32_t v = 0; v < ref.vertices; ++v)
+                for (std::uint64_t e = ref.offsets[v] + 1;
+                     e < ref.offsets[v + 1]; ++e)
+                    duplicates +=
+                        ref.neighbors[e] == ref.neighbors[e - 1];
+        }
+    }
+    EXPECT_GT(duplicates, 0u);
+}
+
 // --- Capture integration for every workload ---
 
 /** Small instances so tests stay fast. */
@@ -166,6 +235,101 @@ TEST(WorkloadRegistry, FirstTouchesCoverFootprint)
 
 // --- Kernel correctness ---
 
+// The reference tree: bulk-load nodes bottom up (each leaf holds
+// `fanout` consecutive keys, each internal node fanout + 1 children
+// and their separator keys), then descend by binary search.
+struct RefTree
+{
+    struct Node
+    {
+        std::vector<std::uint64_t> keys;
+        std::vector<std::uint32_t> child;
+        bool leaf;
+    };
+
+    std::vector<Node> nodes;
+    std::uint32_t root = 0;
+    int depth = 1;
+
+    explicit RefTree(std::uint32_t num_keys)
+    {
+        const int fanout = KvStore::fanout;
+        std::vector<std::uint32_t> level;
+        std::vector<std::uint64_t> level_min;
+        for (std::uint32_t k = 0; k < num_keys; k += fanout) {
+            Node n{{}, {}, true};
+            for (std::uint32_t i = k;
+                 i < std::min<std::uint64_t>(num_keys, k + fanout); ++i) {
+                n.keys.push_back(i);
+                n.child.push_back(i);
+            }
+            level.push_back(static_cast<std::uint32_t>(nodes.size()));
+            level_min.push_back(k);
+            nodes.push_back(n);
+        }
+        while (level.size() > 1) {
+            std::vector<std::uint32_t> up;
+            std::vector<std::uint64_t> up_min;
+            for (std::size_t i = 0; i < level.size(); i += fanout + 1) {
+                Node n{{}, {}, false};
+                for (std::size_t j = i;
+                     j < std::min<std::size_t>(level.size(),
+                                               i + fanout + 1);
+                     ++j) {
+                    n.child.push_back(level[j]);
+                    if (j > i)
+                        n.keys.push_back(level_min[j]);
+                }
+                up.push_back(static_cast<std::uint32_t>(nodes.size()));
+                up_min.push_back(level_min[i]);
+                nodes.push_back(n);
+            }
+            level.swap(up);
+            level_min.swap(up_min);
+            ++depth;
+        }
+        root = level.front();
+    }
+
+    /** Node ids visited on the way to @p key, root first. */
+    std::vector<std::uint32_t>
+    descend(std::uint64_t key) const
+    {
+        std::vector<std::uint32_t> path;
+        std::uint32_t cur = root;
+        for (;;) {
+            path.push_back(cur);
+            const Node &n = nodes[cur];
+            if (n.leaf)
+                return path;
+            auto pos = std::upper_bound(n.keys.begin(), n.keys.end(),
+                                        key);
+            cur = n.child[pos - n.keys.begin()];
+        }
+    }
+};
+
+// The computed descent visits the nodes a searched bulk-loaded tree
+// does, for full and partial last leaves and internal nodes.
+TEST(KvStore, ClosedFormDescentMatchesBulkLoad)
+{
+    for (std::uint32_t keys :
+         {1u, 13u, 14u, 15u, 196u, 210u, 211u, 4096u, 1u << 19}) {
+        RefTree ref(keys);
+        KvStore kv(1, keys);
+        ASSERT_EQ(kv.treeDepth(), ref.depth) << keys << " keys";
+        int mismatches = 0;
+        for (std::uint32_t key = 0; key < keys; ++key) {
+            std::vector<std::uint32_t> want = ref.descend(key);
+            KvStore::Path got = kv.pathTo(key);
+            ASSERT_EQ(want.size(), static_cast<std::size_t>(ref.depth));
+            for (int level = 0; level < ref.depth; ++level)
+                mismatches += got[level] != want[ref.depth - 1 - level];
+        }
+        EXPECT_EQ(mismatches, 0) << keys << " keys";
+    }
+}
+
 TEST(KvStore, LookupsReturnLoadedValues)
 {
     KvStore kv(1, 4096);
@@ -233,6 +397,46 @@ TEST(Fmi, CountFindsPlantedPatterns)
     // pattern absent from ACGT space must not match.
     EXPECT_GE(fmi.count(std::string{0, 1, 2}), 0u);
     EXPECT_GT(fmi.count(std::string{1}), 1000u); // single char
+}
+
+// The packed occurrence table counts what a byte scan counts, for
+// every symbol and position: on random symbols, on the long runs of
+// a periodic text's BWT, and on a length that ends mid-block.
+TEST(OccTable, MatchesByteScan)
+{
+    auto check = [](const std::vector<std::uint8_t> &symbols) {
+        OccTable occ(symbols);
+        EXPECT_EQ(occ.blockCount(),
+                  symbols.size() / OccTable::stride + 1);
+        int mismatches = 0;
+        for (int c = 0; c < 4; ++c) {
+            std::uint32_t want = 0;
+            for (std::uint32_t pos = 0; pos <= symbols.size(); ++pos) {
+                mismatches += occ.count(c, pos) != want;
+                if (pos < symbols.size())
+                    want += symbols[pos] == c;
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << symbols.size() << " symbols";
+    };
+
+    Rng rng(9);
+    std::vector<std::uint8_t> random(1u << 12);
+    for (auto &c : random)
+        c = static_cast<std::uint8_t>(rng.range32(4));
+    check(random);
+
+    std::vector<std::uint8_t> periodic(1u << 12);
+    for (std::size_t i = 0; i < periodic.size(); ++i)
+        periodic[i] = static_cast<std::uint8_t>(i % 3 == 2 ? 3 : i % 3);
+    std::vector<std::uint32_t> sa = rotationSuffixArray(periodic);
+    std::vector<std::uint8_t> bwt(periodic.size());
+    for (std::size_t i = 0; i < bwt.size(); ++i)
+        bwt[i] = periodic[(sa[i] + bwt.size() - 1) % bwt.size()];
+    check(bwt);
+
+    random.resize(100);
+    check(random);
 }
 
 TEST(Poa, AlignmentsProgress)
