@@ -86,6 +86,8 @@ MANIFEST = [
     r"starnuma::mem::PageMap::touch\(",
     r"starnuma::driver::\(anonymous namespace\)::PhaseSim::run\(",
     r"starnuma::mem::Cache::access\(",
+    r"starnuma::trace::CaptureFilter::access\(",
+    r"starnuma::trace::CaptureContext::access\(",
 ]
 
 # A call target starting with any of these is a hot-path violation.

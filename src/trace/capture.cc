@@ -21,6 +21,24 @@ CaptureFilter::CaptureFilter(const FilterGeometry &geometry)
     tags.assign(static_cast<std::size_t>(n) * ways, emptyTag);
 }
 
+bool
+CaptureFilter::accessSlow(std::uint32_t *set, std::uint32_t block)
+{
+    // Scan ways 1.. while shifting each more recent block down one
+    // slot; a hit stops where the block was, a miss drops the least
+    // recently used block off the end.
+    std::uint32_t carry = set[0];
+    set[0] = block;
+    for (int w = 1; w < ways; ++w) {
+        std::uint32_t tag = set[w];
+        set[w] = carry;
+        if (tag == block)
+            return true;
+        carry = tag;
+    }
+    return false;
+}
+
 CaptureContext::CaptureContext(int threads, FilterGeometry filter)
     : nextAddr(baseAddr), inSetup(false)
 {
@@ -42,6 +60,21 @@ CaptureContext::alloc(Addr bytes)
     written.resize(words, 0);
     touched.resize(words, 0);
     return base;
+}
+
+// lint: cold-path untimed set-up, before the traced run
+void
+CaptureContext::setupAccess(ThreadId t, Addr vaddr, bool write)
+{
+    if (write && !testAndSet(touched, pagesIn(vaddr - baseAddr)))
+        firstTouches.push_back({pageNumber(vaddr), t});
+}
+
+void
+CaptureContext::append(ThreadState &ts, Addr vaddr, bool write)
+{
+    // lint: cold-path amortized growth of the record vector
+    ts.records.emplace_back(ts.instructions, vaddr, write);
 }
 
 std::uint64_t

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/annotations.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
@@ -64,30 +65,35 @@ class CaptureFilter
 
     /**
      * Look up the block containing @p addr and make it the set's
-     * most recently used, allocating on miss.
+     * most recently used, allocating on miss. A hit at the MRU way,
+     * most lookups, moves nothing and returns here; the rest go to
+     * accessSlow().
      * @return true on a hit.
      */
-    bool
+    // lint: hot-path one probe per traced access
+    STARNUMA_AUDITED bool
     access(Addr addr)
     {
         auto block = static_cast<std::uint32_t>(addr / blockBytes);
         std::uint32_t *set = &tags[(block & setMask) * ways];
-        int w = 0;
-        while (w < ways && set[w] != block)
-            ++w;
-        bool hit = w < ways;
-        // Shift the more recent ways down one slot; a miss drops
-        // the least recently used block off the end.
-        for (w = hit ? w : ways - 1; w > 0; --w)
-            set[w] = set[w - 1];
-        set[0] = block;
-        return hit;
+        if (set[0] == block)
+            return true;
+        return accessSlow(set, block);
     }
 
     /** Tag of an empty way; no block number reaches it. */
     static constexpr std::uint32_t emptyTag = ~std::uint32_t(0);
 
   private:
+    /**
+     * The rest of a lookup whose block is not at @p set's MRU way:
+     * walk ways 1.., shifting each more recent block down, and put
+     * the block in front. Outlined but not cold: deeper hits and
+     * misses are a third of all lookups (DESIGN.md §18).
+     */
+    STARNUMA_HOT_ROOT bool accessSlow(std::uint32_t *set,
+                                      std::uint32_t block);
+
     // Set-major: set s occupies [s*ways, (s+1)*ways), MRU first.
     std::vector<std::uint32_t> tags;
     std::uint32_t setMask;
@@ -154,7 +160,13 @@ class CaptureContext
                        std::uint64_t instructions_per_thread);
 
   private:
-    void
+    /**
+     * The timed path of every traced access, inline in each kernel;
+     * set-up accesses and the record append are outlined, so this
+     * body allocates nothing.
+     */
+    // lint: hot-path one call per traced load or store
+    STARNUMA_AUDITED void
     access(ThreadId t, Addr vaddr, bool write)
     {
         sn_assert(t >= 0 && static_cast<std::size_t>(t) < state.size(),
@@ -162,20 +174,17 @@ class CaptureContext
         sn_assert(vaddr >= baseAddr && vaddr < nextAddr,
                   "access to %#llx outside the allocated range",
                   static_cast<unsigned long long>(vaddr));
-        // Page index relative to the first allocated page.
-        std::size_t page = pagesIn(vaddr - baseAddr);
         if (inSetup) {
-            // Setup accesses are untimed; writes seed first touch.
-            if (write && !testAndSet(touched, page))
-                firstTouches.push_back({pageNumber(vaddr), t});
+            setupAccess(t, vaddr, write);
             return;
         }
         ThreadState &ts = state[t];
         ++ts.instructions; // the memory op is an instruction too
+        // Page bits are indexed from the first allocated page.
         if (write)
-            testAndSet(written, page);
+            testAndSet(written, pagesIn(vaddr - baseAddr));
         if (!ts.filter.access(vaddr))
-            ts.records.emplace_back(ts.instructions, vaddr, write);
+            append(ts, vaddr, write);
     }
 
     /** Set bit @p i of @p bits; @return its previous value. */
@@ -199,6 +208,18 @@ class CaptureContext
         std::uint64_t instructions;
         std::vector<MemRecord> records;
     };
+
+    /** An untimed set-up access: a write seeds first touch. */
+    STARNUMA_COLD_PATH void setupAccess(ThreadId t, Addr vaddr,
+                                        bool write);
+
+    /**
+     * Append the record of a filter miss. Outlined so the vector's
+     * growth (and its operator new) stays out of access(); not cold,
+     * since a fifth of all lookups miss the filter.
+     */
+    STARNUMA_HOT_ROOT void append(ThreadState &ts, Addr vaddr,
+                                  bool write);
 
     static constexpr Addr baseAddr = 0x10000000;
 

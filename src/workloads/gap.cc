@@ -27,8 +27,10 @@ GapBase::setup(trace::CaptureContext &ctx, const SimScale &scale)
     Rng gen(seed);
     graph = CsrGraph::kronecker(graphScale, graphDegree, gen);
 
-    offsets.allocate(ctx, graph.vertices + 1);
-    neighbors.allocate(ctx, graph.neighbors.size());
+    offsetsBase = ctx.alloc((graph.vertices + 1) *
+                            sizeof(graph.offsets[0]));
+    neighborsBase = ctx.alloc(graph.neighbors.size() *
+                              sizeof(graph.neighbors[0]));
     counters.allocate(ctx, 16);
 
     // Parallel, partitioned construction: thread t writes its slice
@@ -37,17 +39,13 @@ GapBase::setup(trace::CaptureContext &ctx, const SimScale &scale)
     for (ThreadId t = 0; t < threads; ++t) {
         auto [lo, hi] = ownedRange(t);
         for (std::uint32_t v = lo; v < hi; ++v) {
-            offsets[v] = graph.offsets[v];
-            ctx.store(t, offsets.addrOf(v));
+            ctx.store(t, offsetAddr(v));
             for (std::uint64_t e = graph.offsets[v];
-                 e < graph.offsets[v + 1]; ++e) {
-                neighbors[e] = graph.neighbors[e];
-                ctx.store(t, neighbors.addrOf(e));
-            }
+                 e < graph.offsets[v + 1]; ++e)
+                ctx.store(t, neighborAddr(e));
         }
     }
-    offsets[graph.vertices] = graph.offsets[graph.vertices];
-    ctx.store(threads - 1, offsets.addrOf(graph.vertices));
+    ctx.store(threads - 1, offsetAddr(graph.vertices));
     // The synchronization page lands on a middle socket (as an
     // arbitrary runtime allocation would), keeping socket 0 — the
     // detailed socket — representative.
@@ -73,16 +71,17 @@ std::pair<std::uint64_t, std::uint64_t>
 GapBase::edgeRange(trace::CaptureContext &ctx, ThreadId t,
                    std::uint32_t v)
 {
-    std::uint64_t lo = offsets.read(ctx, t, v);
-    std::uint64_t hi = offsets.read(ctx, t, v + 1);
-    return {lo, hi};
+    ctx.load(t, offsetAddr(v));
+    ctx.load(t, offsetAddr(v + 1));
+    return {graph.offsets[v], graph.offsets[v + 1]};
 }
 
 std::uint32_t
 GapBase::neighborAt(trace::CaptureContext &ctx, ThreadId t,
                     std::uint64_t e)
 {
-    return neighbors.read(ctx, t, e);
+    ctx.load(t, neighborAddr(e));
+    return graph.neighbors[e];
 }
 
 bool

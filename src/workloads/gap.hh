@@ -40,14 +40,28 @@ class GapBase : public Workload
     std::pair<std::uint32_t, std::uint32_t>
     ownedRange(ThreadId t) const;
 
-    /** Traced read of offsets[v] and offsets[v+1]. */
+    /** Traced read of graph.offsets[v] and graph.offsets[v+1]. */
     std::pair<std::uint64_t, std::uint64_t>
     edgeRange(trace::CaptureContext &ctx, ThreadId t,
               std::uint32_t v);
 
-    /** Traced read of neighbors[e]. */
+    /** Traced read of graph.neighbors[e]. */
     std::uint32_t neighborAt(trace::CaptureContext &ctx, ThreadId t,
                              std::uint64_t e);
+
+    /** Simulated address of graph.offsets[v]. */
+    Addr
+    offsetAddr(std::uint64_t v) const
+    {
+        return offsetsBase + v * sizeof(graph.offsets[0]);
+    }
+
+    /** Simulated address of graph.neighbors[e]. */
+    Addr
+    neighborAddr(std::uint64_t e) const
+    {
+        return neighborsBase + e * sizeof(graph.neighbors[0]);
+    }
 
     // --- Sense-reversing barrier with traced spinning ---
 
@@ -87,9 +101,11 @@ class GapBase : public Workload
     std::uint64_t seed;
     int threads = 0;
 
+    // The host values live in graph; the simulated CSR arrays are
+    // address-only regions (DESIGN.md §18).
     CsrGraph graph;
-    trace::TracedArray<std::uint64_t> offsets;
-    trace::TracedArray<std::uint32_t> neighbors;
+    Addr offsetsBase = 0;   ///< u64 per vertex, plus one
+    Addr neighborsBase = 0; ///< u32 per directed edge
     trace::TracedArray<std::uint64_t> counters;
 
     std::vector<bool> waiting;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -11,6 +12,36 @@ namespace workloads
 {
 
 // --- FMI ---
+
+void
+radixSort(std::vector<std::uint64_t> &keys)
+{
+    constexpr int digitBits = 11;
+    constexpr int passes = (64 + digitBits - 1) / digitBits;
+    constexpr std::uint64_t digitMask = (1u << digitBits) - 1;
+    const std::size_t n = keys.size();
+    if (n < 2)
+        return;
+    // Every pass's digit histogram, in one read of the keys.
+    std::vector<std::array<std::size_t, digitMask + 1>> count(passes);
+    for (std::uint64_t k : keys)
+        for (int p = 0; p < passes; ++p)
+            ++count[p][(k >> (p * digitBits)) & digitMask];
+    std::vector<std::uint64_t> out(n);
+    for (int p = 0; p < passes; ++p) {
+        const int shift = p * digitBits;
+        auto &bucket = count[p];
+        // A digit every key shares leaves the order as it is.
+        if (bucket[(keys[0] >> shift) & digitMask] == n)
+            continue;
+        std::size_t next = 0;
+        for (std::size_t &c : bucket)
+            next += std::exchange(c, next);
+        for (std::uint64_t k : keys)
+            out[bucket[(k >> shift) & digitMask]++] = k;
+        keys.swap(out);
+    }
+}
 
 std::vector<std::uint32_t>
 rotationSuffixArray(const std::vector<std::uint8_t> &text)
@@ -40,7 +71,7 @@ rotationSuffixArray(const std::vector<std::uint8_t> &text)
         prefix = ((prefix << 2) | txt[(i + chars) & mask]) &
                  prefix_mask;
     }
-    std::sort(keys.begin(), keys.end());
+    radixSort(keys);
 
     // Runs of equal prefixes (rare in random text) are re-sorted by
     // comparing whole cyclic rotations, ties broken by position.

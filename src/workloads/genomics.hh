@@ -37,6 +37,13 @@ std::vector<std::uint32_t>
 rotationSuffixArray(const std::vector<std::uint8_t> &text);
 
 /**
+ * Sort @p keys ascending: an LSD radix sort, 11 bits a pass, that
+ * skips every pass whose digit all keys share. Integers have one
+ * ascending order, so the result equals std::sort's.
+ */
+void radixSort(std::vector<std::uint64_t> &keys);
+
+/**
  * Occurrence counts over a sequence of symbols 0..3 (a BWT):
  * count(c, pos) is the number of c among its first pos symbols. One
  * 32-byte block per 64 positions holds the four counts before the

@@ -285,6 +285,33 @@ TEST(RotationSuffixArray, MatchesNaiveSortOnShortText)
     }
 }
 
+TEST(RotationSuffixArray, RadixSortMatchesStdSort)
+{
+    // Random keys over all 64 bits, keys with constant digits
+    // (skipped passes), duplicates, and the trivial lengths.
+    Rng gen(5);
+    auto check = [](std::vector<std::uint64_t> keys) {
+        std::vector<std::uint64_t> want = keys;
+        std::sort(want.begin(), want.end());
+        radixSort(keys);
+        EXPECT_EQ(keys, want);
+    };
+    for (std::size_t n : {0u, 1u, 2u, 3u, 100u, 4096u, 100000u}) {
+        std::vector<std::uint64_t> keys(n);
+        for (auto &k : keys)
+            k = (std::uint64_t(gen.next32()) << 32) | gen.next32();
+        check(keys);
+        // Only bits 20..39 vary: passes 0, 4 and 5 are skipped.
+        for (auto &k : keys)
+            k = (k & 0xfffff00000ULL) | 0xab00000000000005ULL;
+        check(keys);
+        // A dozen distinct values, each repeated.
+        for (auto &k : keys)
+            k = gen.range32(12) * 0x0123456789abcdefULL;
+        check(keys);
+    }
+}
+
 } // anonymous namespace
 } // namespace workloads
 } // namespace starnuma

@@ -238,11 +238,13 @@ TEST(CaptureFilter, MatchesMemCacheHitSequence)
         int mismatches = 0;
         auto check = [&](Addr addr) {
             bool write = rng.chance(0.3); // dirty bits change nothing
-            if (filter.access(addr) != cache.access(addr, write).hit &&
+            bool hit = filter.access(addr);
+            if (hit != cache.access(addr, write).hit &&
                 mismatches++ == 0)
                 ADD_FAILURE() << "geometry " << g.sizeBytes << "/"
                               << g.ways << ": first mismatch at "
                               << addr;
+            return hit;
         };
         // Random addresses over a span a few times the capacity.
         Addr span = 4 * g.sizeBytes;
@@ -256,6 +258,39 @@ TEST(CaptureFilter, MatchesMemCacheHitSequence)
             for (int pass = 0; pass < 3; ++pass)
                 for (Addr a = 0; a < 2 * g.sizeBytes; a += stride)
                     check(0x20000000 + a);
+        // One set through every path of the filter: misses that
+        // evict, a hit at each depth 1..ways-1 and an immediate
+        // repeat after each (the MRU fast path). The test keeps the
+        // set's blocks in MRU order to pick each depth's block.
+        Addr sets = 1;
+        while (sets < g.sizeBytes / (blockBytes * g.ways))
+            sets <<= 1;
+        std::vector<Addr> mru;
+        Addr fresh = 0x30000000; // never accessed above
+        auto use = [&](std::size_t depth) {
+            bool known = depth < mru.size();
+            Addr addr = known ? mru[depth] : fresh;
+            if (known)
+                mru.erase(mru.begin() + depth);
+            else
+                fresh += sets * blockBytes; // same set
+            mru.insert(mru.begin(), addr);
+            if (mru.size() > static_cast<std::size_t>(g.ways))
+                mru.pop_back();
+            EXPECT_EQ(check(addr), known)
+                << "geometry " << g.sizeBytes << "/" << g.ways
+                << ", depth " << depth;
+        };
+        for (int round = 0; round < 3; ++round) {
+            for (int w = 0; w < g.ways; ++w)
+                use(mru.size());
+            for (int d = 1; d < g.ways; ++d) {
+                use(d);
+                use(0);
+            }
+            use(0);
+            use(mru.size());
+        }
         EXPECT_EQ(mismatches, 0);
         EXPECT_GT(cache.hits(), 0u);
         EXPECT_GT(cache.misses(), 0u);
