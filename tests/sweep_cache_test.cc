@@ -3,21 +3,24 @@
  * The artifact store's two tiers, step-A traces and experiment
  * results (DESIGN.md §16): cache-key stability goldens (each
  * declared input perturbs the key; nothing else does), the trace
- * key's format version, warm-equals-cold byte identity across
- * worker-pool sizes, that a cold run stores only trace and result
- * objects, the corruption contract at the experiment tier (a damaged
- * stored bundle demotes to recomputation with identical artifacts),
- * the one code epoch shared by every key, the store audit, that an
- * observed run skips the experiment tier, and that with the store
- * disabled nothing reaches the disk.
+ * key's format version, the pinned bytes of stored result bundles,
+ * warm-equals-cold byte identity across worker-pool sizes, that a
+ * cold run stores only trace and result objects, the corruption
+ * contract at the experiment tier (a damaged stored bundle demotes
+ * to recomputation with identical artifacts), the one code epoch
+ * shared by every key, the store audit, that an observed run skips
+ * the experiment tier, and that with the store disabled nothing
+ * reaches the disk.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/artifact_cache.hh"
@@ -180,6 +183,35 @@ TEST(SweepCache, WarmResultHitIsByteIdentical)
     EXPECT_EQ(placementBytes(warm), placementBytes(ref));
     EXPECT_EQ(driver::metricsSnapshot(warm.metrics).values(),
               driver::metricsSnapshot(ref.metrics).values());
+}
+
+/**
+ * The stored result bundle's bytes are pinned: the metrics codec and
+ * the embedded checkpoint image must write exactly these payloads
+ * for one workload on the baseline and on StarNUMA (T16).
+ */
+TEST(SweepCache, StoredBundleBytesPinned)
+{
+    SimScale s = SimScale::tiny();
+    ScopedCache cache_dir("sweep_cache_bundle_pin");
+    std::shared_ptr<cas::Store> store =
+        driver::ArtifactCache::global().store();
+    const cas::Hash128 content = cas::hashBytes(
+        trace::encodeColumnar(driver::workloadTrace("bfs", s)));
+    const std::pair<driver::SystemSetup, const char *> pins[] = {
+        {driver::SystemSetup::baseline(),
+         "8bfbc6e8d916e6dffa7b1ce9fe12a303"},
+        {driver::SystemSetup::starnuma(),
+         "644585e6e58a2f39ed08ed269ec1886e"},
+    };
+    for (const auto &[setup, want] : pins) {
+        SCOPED_TRACE(setup.name);
+        driver::runExperiment("bfs", setup, s);
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(store->fetchObject(
+            driver::resultKeyText("bfs", setup, s, content), payload));
+        EXPECT_EQ(cas::hashBytes(payload).hex(), want);
+    }
 }
 
 TEST(SweepCache, WarmEqualsColdAcrossPoolSizes)
