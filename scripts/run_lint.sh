@@ -87,6 +87,7 @@ stage_python() {
     run_checkers "starnuma_lint + starnuma_hotpath: rules D1-D11" \
         "python3 scripts/starnuma_lint.py --self-test" \
         "python3 scripts/starnuma_lint.py" \
+        "python3 scripts/starnuma_hotpath.py --self-test" \
         "python3 scripts/starnuma_hotpath.py"
 }
 

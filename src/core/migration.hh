@@ -52,19 +52,21 @@ struct MigrationConfig
     std::uint32_t loThresholdStart = 4;
     std::uint32_t loThresholdMax = 1024;
 
-    /** Per-phase migration limit, in 4 KB pages. */
+    /**
+     * Per-phase migration limit, in 4 KB pages. TraceSim::run
+     * overrides it with the footprint-scaled limit below.
+     */
     std::uint32_t migrationLimitPages = 4096;
 
     /**
-     * When set (the default for full runs), the driver derives the
-     * per-phase limit from the workload footprint instead of the
-     * absolute value above: limit = footprintPages * this. The
-     * paper tunes an absolute 0..256K-page limit per workload at
-     * 1G-instruction phases (§IV-C); a footprint fraction is the
-     * scale-invariant equivalent.
+     * The driver derives the per-phase limit from the workload
+     * footprint instead of the absolute value above: limit =
+     * footprintPages * this. The paper tunes an absolute
+     * 0..256K-page limit per workload at 1G-instruction phases
+     * (§IV-C); a footprint fraction is the scale-invariant
+     * equivalent.
      */
     double migrationLimitFraction = 0.25;
-    bool scaleLimitToFootprint = true;
 
     /** Sharing degree at which the pool becomes the destination. */
     int poolSharerThreshold = 8;

@@ -138,9 +138,6 @@ policyFingerprint(const SystemSetup &setup)
     field(t, "loThresholdMax", m.loThresholdMax);
     field(t, "migrationLimitPages", m.migrationLimitPages);
     field(t, "migrationLimitFraction", m.migrationLimitFraction);
-    field(t, "scaleLimitToFootprint",
-          static_cast<std::uint64_t>(
-              m.scaleLimitToFootprint ? 1 : 0));
     field(t, "poolSharerThreshold",
           static_cast<std::uint64_t>(m.poolSharerThreshold));
     field(t, "randomSharerReshuffle",

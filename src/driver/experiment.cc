@@ -156,67 +156,72 @@ namespace
 // observability channel, so observed runs never use this tier.
 constexpr std::uint64_t resultBundleMagic = 0x5354415252455332ULL;
 
-void
-encodeMetrics(std::vector<std::uint8_t> &buf, const RunMetrics &m)
+/** Appends each field of a bundle (the encoding direction). */
+struct BundleWriter
 {
-    putVarint(buf, m.instructions);
-    putVarint(buf, m.cycles.value());
-    putDouble(buf, m.ipc);
-    putVarint(buf, m.memAccesses);
-    putVarint(buf, m.llcHits);
-    putVarint(buf, m.detailedMisses);
-    putDouble(buf, m.llcMpki);
-    putDouble(buf, m.amatCycles);
-    putDouble(buf, m.unloadedAmatCycles);
-    for (double v : m.mix)
-        putDouble(buf, v);
-    for (double v : m.typeLatency)
-        putDouble(buf, v);
-    putDouble(buf, m.migrationStallCycles);
-    putDouble(buf, m.upiUtilization);
-    putDouble(buf, m.numalinkUtilization);
-    putDouble(buf, m.cxlUtilization);
-    putDouble(buf, m.maxLinkUtilization);
-    putDouble(buf, m.meanLinkQueueNs);
-    putDouble(buf, m.meanDramQueueNs);
-    putVarint(buf, m.migratedPages);
-    putDouble(buf, m.poolMigrationFraction);
-    putVarint(buf, m.coherenceTransactions);
-    putVarint(buf, m.blockTransfers);
-    putVarint(buf, m.shootdownPages);
-}
+    std::vector<std::uint8_t> &buf;
 
-bool
-decodeMetrics(ByteReader &r, RunMetrics &m)
+    bool
+    varint(std::uint64_t v)
+    {
+        putVarint(buf, v);
+        return true;
+    }
+    bool
+    real(double v)
+    {
+        putDouble(buf, v);
+        return true;
+    }
+    bool cycles(Cycles c) { return varint(c.value()); }
+};
+
+/** Reads each field of a bundle (the decoding direction). */
+struct BundleReader
 {
-    std::uint64_t cycles = 0;
-    bool ok = r.getVarint(m.instructions) && r.getVarint(cycles) &&
-              r.getDouble(m.ipc) && r.getVarint(m.memAccesses) &&
-              r.getVarint(m.llcHits) &&
-              r.getVarint(m.detailedMisses) &&
-              r.getDouble(m.llcMpki) && r.getDouble(m.amatCycles) &&
-              r.getDouble(m.unloadedAmatCycles);
-    if (!ok)
-        return false;
-    m.cycles = Cycles(cycles);
-    for (double &v : m.mix)
-        if (!r.getDouble(v))
+    ByteReader &r;
+
+    bool varint(std::uint64_t &v) { return r.getVarint(v); }
+    bool real(double &v) { return r.getDouble(v); }
+    bool
+    cycles(Cycles &c)
+    {
+        std::uint64_t v = 0;
+        if (!r.getVarint(v))
             return false;
-    for (double &v : m.typeLatency)
-        if (!r.getDouble(v))
-            return false;
-    return r.getDouble(m.migrationStallCycles) &&
-           r.getDouble(m.upiUtilization) &&
-           r.getDouble(m.numalinkUtilization) &&
-           r.getDouble(m.cxlUtilization) &&
-           r.getDouble(m.maxLinkUtilization) &&
-           r.getDouble(m.meanLinkQueueNs) &&
-           r.getDouble(m.meanDramQueueNs) &&
-           r.getVarint(m.migratedPages) &&
-           r.getDouble(m.poolMigrationFraction) &&
-           r.getVarint(m.coherenceTransactions) &&
-           r.getVarint(m.blockTransfers) &&
-           r.getVarint(m.shootdownPages);
+        c = Cycles(v);
+        return true;
+    }
+};
+
+/**
+ * The one field list of the metrics codec: the encoder walks it
+ * with a BundleWriter over a const RunMetrics, the decoder with a
+ * BundleReader. @return false when a field does not decode.
+ */
+template <class IO, class Metrics>
+bool
+codeMetrics(IO &io, Metrics &m)
+{
+    bool ok = io.varint(m.instructions) && io.cycles(m.cycles) &&
+              io.real(m.ipc) && io.varint(m.memAccesses) &&
+              io.varint(m.llcHits) && io.varint(m.detailedMisses) &&
+              io.real(m.llcMpki) && io.real(m.amatCycles) &&
+              io.real(m.unloadedAmatCycles);
+    for (auto &v : m.mix)
+        ok = ok && io.real(v);
+    for (auto &v : m.typeLatency)
+        ok = ok && io.real(v);
+    return ok && io.real(m.migrationStallCycles) &&
+           io.real(m.upiUtilization) &&
+           io.real(m.numalinkUtilization) &&
+           io.real(m.cxlUtilization) &&
+           io.real(m.maxLinkUtilization) &&
+           io.real(m.meanLinkQueueNs) && io.real(m.meanDramQueueNs) &&
+           io.varint(m.migratedPages) &&
+           io.real(m.poolMigrationFraction) &&
+           io.varint(m.coherenceTransactions) &&
+           io.varint(m.blockTransfers) && io.varint(m.shootdownPages);
 }
 
 // lint: cold-path once per experiment, cache-enabled runs only
@@ -226,7 +231,8 @@ encodeResultBundle(const ExperimentResult &result)
 {
     std::vector<std::uint8_t> buf;
     putVarint(buf, resultBundleMagic);
-    encodeMetrics(buf, result.metrics);
+    BundleWriter out{buf};
+    codeMetrics(out, result.metrics);
     std::vector<std::uint8_t> placement =
         result.placement.serialize();
     buf.insert(buf.end(), placement.begin(), placement.end());
@@ -239,9 +245,10 @@ decodeResultBundle(const std::vector<std::uint8_t> &payload,
                    ExperimentResult &result)
 {
     ByteReader r(payload.data(), payload.size());
+    BundleReader in{r};
     std::uint64_t magic = 0;
     return r.getVarint(magic) && magic == resultBundleMagic &&
-           decodeMetrics(r, result.metrics) &&
+           codeMetrics(in, result.metrics) &&
            result.placement.deserialize(r) && r.remaining() == 0;
 }
 
@@ -316,9 +323,7 @@ runExperiment(const std::string &workload, const SystemSetup &setup,
 
     // §IV-A3 literally: one timing simulation per phase, fanned out
     // over the worker pool and merged in phase order.
-    TimingOptions options;
-    options.independentPhases = true;
-    TimingSim timing(setup, scale, options);
+    TimingSim timing(setup, scale);
     {
         obs::TraceSpan span("timing-sim " + workload, "timingSim");
         result.metrics = timing.run(trace, result.placement);
@@ -356,7 +361,6 @@ runSingleSocket(const std::string &workload, const SimScale &scale)
 
     TimingOptions options;
     options.singleSocketLocal = true;
-    options.independentPhases = true;
     TimingSim timing(setup, scale, options);
     RunMetrics m = timing.run(trace, placement);
     observeRun(workload + ".single-socket", m, timing, placement);

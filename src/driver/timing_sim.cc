@@ -35,6 +35,30 @@ namespace
 /** Cycles between light-core pacing updates. */
 constexpr Cycles pacerPeriod{20000};
 
+// Core model (Table I, scaled per Table II).
+
+/** Base CPI of non-stalled instructions (4-wide, with L1/L2 effects
+ *  folded in since the trace is filter-missing). */
+constexpr double baseCpi = 0.5;
+
+/** Reorder-buffer reach in instructions. */
+constexpr std::uint64_t robEntries = 256;
+
+/** Maximum outstanding LLC misses per core. */
+constexpr std::uint32_t mshrs = 8;
+static_assert(mshrs > 0, "cores need at least one MSHR");
+
+/** Socket-LLC hit latency (30 cycles, Table I). */
+constexpr Cycles llcHitLatency{30};
+
+/**
+ * LLC capacity per core. Table I specifies 2 MB/core; the scaled-down
+ * timing windows are far too short to ever fill that, so the LLC is
+ * scaled with the window the same way Table II scales bandwidth with
+ * the core count.
+ */
+constexpr Addr llcBytesPerCore = 512 * 1024;
+
 /** Every Nth miss issues a tracker-metadata update write (§IV-C:
  *  "we model the additional memory traffic required for tracker
  *  updates"); approximates the PTW's annex flush rate. */
@@ -129,23 +153,22 @@ struct Outstanding
 };
 
 /**
- * Hardware state of one timing run: caches and directory stay warm
- * across the phases simulated on it; link and DRAM queue occupancy
- * is reset per phase since checkpoints are far apart in time.
+ * Hardware state of one phase's timing simulation. Every phase gets
+ * a fresh machine: caches, directory, link and DRAM queues all start
+ * empty, since checkpoints are far apart in time.
  */
 struct MachineState
 {
-    // lint: cold-path one machine per phase (or per run)
+    // lint: cold-path one machine per phase
     MachineState(const SystemSetup &setup, const SimScale &scale,
-                 const CoreModel &core, const PageSpan &span,
+                 const PageSpan &span,
                  const FlatSet<PageNum> &replicated_pages)
         : topo(setup.sys), directory(setup.sys.sockets),
           pages(setup.sys.sockets + (setup.sys.hasPool ? 1 : 0)),
           replicated(replicated_pages)
     {
         mem::CacheConfig llc_cfg{
-            static_cast<Addr>(scale.coresPerSocket) *
-                core.llcBytesPerCore,
+            static_cast<Addr>(scale.coresPerSocket) * llcBytesPerCore,
             16};
         mem::DramConfig dram_cfg;
         dram_cfg.accessNs = setup.sys.dramNs;
@@ -159,15 +182,11 @@ struct MachineState
     }
 
     void
-    newPhase(const Checkpoint &checkpoint)
+    loadPageHomes(const Checkpoint &checkpoint)
     {
-        topo.resetContention();
-        for (auto &mc : mcs)
-            mc.resetContention();
         // Rebuilds a map (FlatMap iterates in insertion order).
         for (const auto &[page, home] : checkpoint.pageHome)
             pages.setHome(page, home);
-        migrating.clear();
     }
 
     /** Register the machine's component stats (links, LLCs, DRAM,
@@ -195,7 +214,7 @@ struct MachineState
     mem::PageMap pages;
     FlatMap<PageNum, Cycles> migrating;
     // Mutable copy of the §V-F replication set: a write to a
-    // replicated page de-replicates it for the rest of the run.
+    // replicated page de-replicates it for the rest of the phase.
     FlatSet<PageNum> replicated;
 };
 
@@ -238,7 +257,7 @@ class PhaseSim
 {
   public:
     PhaseSim(const SystemSetup &setup, const SimScale &scale,
-             const TimingOptions &options, const CoreModel &core,
+             const TimingOptions &options,
              const trace::WorkloadTrace &trace,
              const Checkpoint &checkpoint, int phase,
              MachineState &machine, PhaseStats &stats);
@@ -261,7 +280,7 @@ class PhaseSim
         Cycles doneCycle;
         Cycles warmupCycle;
         bool warmupCrossed = false;
-        Outstanding *mshr = nullptr; ///< core.mshrs slots, oldest first
+        Outstanding *mshr = nullptr; ///< mshrs slots, oldest first
         std::uint32_t inFlight = 0;  ///< occupied MSHR slots
     };
 
@@ -304,7 +323,6 @@ class PhaseSim
     const SystemSetup &setup;
     const SimScale &scale;
     const TimingOptions &options;
-    const CoreModel &core;
     const trace::WorkloadTrace &trace;
 
     std::uint64_t windowStart;
@@ -351,32 +369,27 @@ class PhaseSim
 PhaseSim::PhaseSim(const SystemSetup &system_setup,
                    const SimScale &sim_scale,
                    const TimingOptions &timing_options,
-                   const CoreModel &core_model,
                    const trace::WorkloadTrace &workload_trace,
                    const Checkpoint &checkpoint, int phase,
                    MachineState &machine_state,
                    PhaseStats &phase_stats)
     : setup(system_setup), scale(sim_scale),
-      options(timing_options), core(core_model),
-      trace(workload_trace), machine(machine_state),
+      options(timing_options), trace(workload_trace), machine(machine_state),
       topo(machine.topo), llcs(machine.llcs), mcs(machine.mcs),
       directory(machine.directory), pages(machine.pages),
       migrating(machine.migrating),
       cores(options.singleSocketLocal ? scale.coresPerSocket
                                       : scale.threads()),
-      mshrSlots(static_cast<std::uint32_t>(cores.size()) *
-                static_cast<std::uint32_t>(core.mshrs)),
+      mshrSlots(static_cast<std::uint32_t>(cores.size()) * mshrs),
       arena(FixedPool<Miss>::arenaBytes(mshrSlots) +
             mshrSlots * sizeof(Outstanding) + alignof(Outstanding)),
       misses(arena, mshrSlots),
       st(phase_stats), phase_(phase),
       onChip(nsToCycles(setup.sys.onChipNs)),
-      lightCpi(core.baseCpi * 2),
+      lightCpi(baseCpi * 2),
       observed(obs::RunSink::global().enabled())
 {
-    sn_assert(core.mshrs > 0, "cores need at least one MSHR");
-    machine.newPhase(checkpoint);
-    st.coherence = directory.transactions();
+    machine.loadPageHomes(checkpoint);
 
     windowStart = static_cast<std::uint64_t>(phase) *
                   scale.phaseInstructions;
@@ -393,8 +406,7 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
         CoreState &c = cores[t];
         c.socket = t / scale.coresPerSocket;
         c.detailed = (c.socket == 0);
-        c.mshr = arena.allocArray<Outstanding>(
-            static_cast<std::size_t>(core.mshrs));
+        c.mshr = arena.allocArray<Outstanding>(mshrs);
         sn_assert(c.mshr, "MSHR arena exhausted");
         const auto &recs = trace.perThread[t];
         auto below = [](const trace::MemRecord &r, std::uint64_t v) {
@@ -442,7 +454,7 @@ PhaseSim::PhaseSim(const SystemSetup &system_setup,
     int ppr = pagesPerRegion(setup.regionBytes);
     Cycles window_est(
         static_cast<double>(scale.detailInstructions()) *
-        core.baseCpi * 4);
+        baseCpi * 4);
     Cycles page_stream = serializationCycles(
         pageBytes + (pageBytes / blockBytes) * 8, 3.0);
     std::size_t page_budget = std::max<std::size_t>(
@@ -751,11 +763,9 @@ PhaseSim::frontBlocks(const CoreState &c,
     const Outstanding &front = c.mshr[0];
     if (front.complete)
         return false;
-    if (c.inFlight >= static_cast<std::uint32_t>(core.mshrs))
+    if (c.inFlight >= mshrs)
         return true;
-    if (c.detailed &&
-        front.instr + static_cast<std::uint64_t>(core.robEntries) <=
-            next_instr)
+    if (c.detailed && front.instr + robEntries <= next_instr)
         return true;
     return false;
 }
@@ -818,7 +828,7 @@ PhaseSim::issueNext(CoreState &c)
         c.idx < c.end ? c.recs[c.idx].instr : windowEnd;
     std::uint64_t gap =
         next_instr > this_instr ? next_instr - this_instr : 1;
-    double cpi = c.detailed ? core.baseCpi : lightCpi;
+    double cpi = c.detailed ? baseCpi : lightCpi;
     c.readyTime =
         t + std::max(Cycles(1),
                      Cycles(static_cast<double>(gap) * cpi));
@@ -827,7 +837,7 @@ PhaseSim::issueNext(CoreState &c)
     if (look.hit) {
         if (count_stats)
             ++st.llcHits;
-        c.readyTime += c.detailed ? core.llcHitLatency : Cycles();
+        c.readyTime += c.detailed ? llcHitLatency : Cycles();
         scheduleIssue(c, c.readyTime);
         return;
     }
@@ -855,8 +865,7 @@ PhaseSim::issueNext(CoreState &c)
     if (setup.sys.hasPool && (missCount % metadataWritePeriod) == 0)
         dramAccess(s, t, block ^ 0x3c3cc3c3);
 
-    sn_assert(c.inFlight < static_cast<std::uint32_t>(core.mshrs),
-              "MSHR overflow");
+    sn_assert(c.inFlight < mshrs, "MSHR overflow");
     c.mshr[c.inFlight++] = Outstanding{this_instr, false};
     startMiss(c, block, write, this_instr, count_stats);
     scheduleIssue(c, c.readyTime);
@@ -869,7 +878,7 @@ PhaseSim::finishCore(CoreState &c)
     c.inFlight = 0;
     if (c.lastInstr < windowEnd) {
         t += Cycles(static_cast<double>(windowEnd - c.lastInstr) *
-                    (c.detailed ? core.baseCpi : lightCpi));
+                    (c.detailed ? baseCpi : lightCpi));
         c.lastInstr = windowEnd;
     }
     c.done = true;
@@ -896,7 +905,7 @@ PhaseSim::pace()
         double cpi =
             static_cast<double>((now - lastPaceCycle).value()) * n /
             static_cast<double>(instr - lastPaceInstr);
-        lightCpi = std::clamp(cpi, core.baseCpi, 500.0);
+        lightCpi = std::clamp(cpi, baseCpi, 500.0);
         lastPaceInstr = instr;
         lastPaceCycle = now;
     }
@@ -993,7 +1002,7 @@ PhaseSim::run()
                 c.done = true;
             continue;
         }
-        double cpi = c.detailed ? core.baseCpi : lightCpi;
+        double cpi = c.detailed ? baseCpi : lightCpi;
         c.readyTime = Cycles(
             static_cast<double>(c.recs[c.idx].instr - windowStart) *
             cpi);
@@ -1021,7 +1030,7 @@ PhaseSim::run()
         st.cycles +=
             c.doneCycle > start ? c.doneCycle - start : Cycles(1);
     }
-    st.coherence = directory.transactions() - st.coherence;
+    st.coherence = directory.transactions();
     st.horizon = q.now();
 }
 
@@ -1083,6 +1092,8 @@ TimingSim::TimingSim(const SystemSetup &system_setup,
     : setup(system_setup), scale(sim_scale),
       options(timing_options)
 {
+    sn_assert(options.independentPhases,
+              "every phase runs on its own machine");
 }
 
 RunMetrics
@@ -1097,51 +1108,34 @@ TimingSim::run(const trace::WorkloadTrace &trace,
     // placement that maps a page outside it grows the map.
     const PageSpan span = densePageSpan(trace);
 
-    // The machine that feeds the link diagnostics below: the last
-    // phase's (independent phases) or the shared one (sequential).
-    std::unique_ptr<MachineState> machine;
-    auto make_machine = [&] {
-        return std::make_unique<MachineState>(
-            setup, scale, core, span,
-            placement.replication.replicated);
-    };
+    // §IV-A3 literally: N independent timing simulations, one per
+    // phase, each on its own fresh machine, fanned out over the
+    // fixed-size worker pool. Each task builds its phase's event
+    // queue, runs it, and frees its machine; only the last phase's
+    // machine is kept, for the link diagnostics below. The machines
+    // themselves are built here, on the calling thread, so they come
+    // from one malloc arena: built inside the tasks, they spread over
+    // the workers' arenas and the cold sweep's peak RSS rose. The
+    // accumulation below walks the phases in canonical order, so the
+    // merged metrics are bitwise-identical for any pool size.
     std::vector<PhaseStats> phases(scale.phases);
-    auto run_phase = [&](int phase, MachineState &on) {
+    std::vector<std::unique_ptr<MachineState>> machines(phases.size());
+    for (auto &mine : machines)
+        mine = std::make_unique<MachineState>(
+            setup, scale, span, placement.replication.replicated);
+    ThreadPool::global().parallelFor(phases.size(), [&](std::size_t i) {
+        const int phase = static_cast<int>(i);
         obs::TraceSpan trace_span(
             "phase " + std::to_string(phase), "timing",
             obs::TraceArgs().add("phase", phase).str());
-        PhaseSim(setup, scale, options, core, trace,
-                 placement.checkpoints[phase], phase, on,
-                 phases[phase])
+        PhaseSim(setup, scale, options, trace,
+                 placement.checkpoints[i], phase, *machines[i],
+                 phases[i])
             .run();
-    };
-    if (options.independentPhases) {
-        // §IV-A3 literally: N independent timing simulations, one
-        // per phase, fanned out over the fixed-size worker pool.
-        // Each task builds its phase's event queue, runs it, and
-        // frees its machine; only the last phase's machine is kept.
-        // The machines themselves are built here, on the calling
-        // thread, so they come from one malloc arena: built inside
-        // the tasks, they spread over the workers' arenas and the
-        // cold sweep's peak RSS rose. The accumulation below walks
-        // the phases in canonical order, so the merged metrics are
-        // bitwise-identical for any pool size.
-        std::vector<std::unique_ptr<MachineState>> machines(
-            phases.size());
-        for (auto &mine : machines)
-            mine = make_machine();
-        ThreadPool::global().parallelFor(
-            phases.size(), [&](std::size_t i) {
-                run_phase(static_cast<int>(i), *machines[i]);
-                if (i + 1 != phases.size())
-                    machines[i].reset();
-            });
-        machine = std::move(machines.back());
-    } else {
-        machine = make_machine();
-        for (int phase = 0; phase < scale.phases; ++phase)
-            run_phase(phase, *machine);
-    }
+        if (i + 1 != phases.size())
+            machines[i].reset();
+    });
+    const MachineState &machine = *machines.back();
 
     // Phase order is canonical here, so the merged snapshot and
     // series are identical for any pool size.
@@ -1160,11 +1154,10 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         }
     }
 
-    // Component-level stats of the surviving machine (independent
-    // phases: the last phase's machine; sequential: cumulative).
+    // Component-level stats of the last phase's machine.
     if (collect) {
         obs::Registry reg;
-        machine->registerStats(reg);
+        machine.registerStats(reg);
         stats_.merge("machine.", reg.snapshot());
     }
 
@@ -1179,7 +1172,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         Cycles horizon = total_horizon != Cycles()
                              ? total_horizon / scale.phases
                              : Cycles(1);
-        for (const auto &link : machine->topo.links()) {
+        for (const auto &link : machine.topo.links()) {
             for (Dir d : {Dir::Forward, Dir::Backward}) {
                 double u = link.utilization(d, horizon);
                 int k = static_cast<int>(link.type());
@@ -1199,7 +1192,7 @@ TimingSim::run(const trace::WorkloadTrace &trace,
         m.meanLinkQueueNs = cyclesToNs(queue.mean());
         double dq = 0;
         std::uint64_t dn = 0;
-        for (const auto &mc : machine->mcs) {
+        for (const auto &mc : machine.mcs) {
             dq += mc.meanQueueDelay() *
                   static_cast<double>(mc.requests());
             dn += mc.requests();

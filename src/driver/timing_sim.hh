@@ -47,38 +47,12 @@ struct TimingOptions
     bool softwareShootdowns = false;
 
     /**
-     * Run each phase on its own machine state, concurrently when
-     * the host has spare cores — the paper's literal "N parallel
-     * timing simulations" (§IV-A3). Caches start cold each phase
-     * (only the warmup window heats them); the default sequential
-     * mode instead carries cache/directory state across phases.
+     * Must stay true (the constructor asserts it): every phase runs
+     * on its own fresh machine (§IV-A3). Kept only because
+     * perfbench/driver.cc sets it; the next change to the benchmark
+     * (ROADMAP item 5) drops that line and this field.
      */
-    bool independentPhases = false;
-};
-
-/** Core-model parameters (Table I, scaled per Table II). */
-struct CoreModel
-{
-    /** Base CPI of non-stalled instructions (4-wide, with L1/L2
-     *  effects folded in since the trace is filter-missing). */
-    double baseCpi = 0.5;
-
-    /** Reorder-buffer reach in instructions. */
-    int robEntries = 256;
-
-    /** Maximum outstanding LLC misses per core. */
-    int mshrs = 8;
-
-    /** Socket-LLC hit latency (30 cycles, Table I). */
-    Cycles llcHitLatency{30};
-
-    /**
-     * LLC capacity per core. Table I specifies 2 MB/core; the
-     * scaled-down timing windows are far too short to ever fill
-     * that, so the default scales the LLC with the window the same
-     * way Table II scales bandwidth with the core count.
-     */
-    Addr llcBytesPerCore = 512 * 1024;
+    bool independentPhases = true;
 };
 
 /** The per-phase mixed-modality timing simulator. */
@@ -119,7 +93,6 @@ class TimingSim
     const SystemSetup &setup;
     SimScale scale;
     TimingOptions options;
-    CoreModel core;
     obs::Snapshot stats_;
     obs::TimeSeries timeseries_;
 };

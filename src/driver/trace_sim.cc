@@ -624,13 +624,11 @@ TraceSim::run(const trace::WorkloadTrace &trace)
     // phase length (the paper tunes an absolute limit per workload
     // at its own scale, §IV-C). The baseline gets the same budget.
     core::MigrationConfig mig = setup.migration;
-    if (mig.scaleLimitToFootprint) {
-        mig.migrationLimitPages =
-            static_cast<std::uint32_t>(std::max<std::uint64_t>(
-                64, static_cast<std::uint64_t>(
-                        static_cast<double>(result.footprintPages) *
-                        mig.migrationLimitFraction)));
-    }
+    mig.migrationLimitPages =
+        static_cast<std::uint32_t>(std::max<std::uint64_t>(
+            64, static_cast<std::uint64_t>(
+                    static_cast<double>(result.footprintPages) *
+                    mig.migrationLimitFraction)));
 
     if (setup.placement == Placement::StaticOracle) {
         OraclePolicy policy(setup, result.poolCapacityPages);

@@ -59,17 +59,6 @@ DramChannel::unloadedLatency() const
     return deviceLatency + busSer;
 }
 
-void
-DramChannel::resetContention()
-{
-    std::fill(bankFree.begin(), bankFree.end(), Cycles());
-    std::fill(openRow.begin(), openRow.end(), ~Addr(0));
-    busFree = Cycles();
-    requests_ = 0;
-    rowHits_ = 0;
-    queueDelay.reset();
-}
-
 MemoryController::MemoryController(int channels,
                                    const DramConfig &config)
 {
@@ -92,13 +81,6 @@ Cycles
 MemoryController::unloadedLatency() const
 {
     return chans.front().unloadedLatency();
-}
-
-void
-MemoryController::resetContention()
-{
-    for (auto &c : chans)
-        c.resetContention();
 }
 
 std::uint64_t

@@ -64,8 +64,6 @@ class DramChannel
     /** Unloaded latency of one access, cycles. */
     Cycles unloadedLatency() const;
 
-    void resetContention();
-
     std::uint64_t requests() const { return requests_; }
     std::uint64_t rowHits() const { return rowHits_; }
     double meanQueueDelay() const { return queueDelay.mean(); }
@@ -101,7 +99,6 @@ class MemoryController
     Cycles access(Cycles now, Addr addr);
 
     Cycles unloadedLatency() const;
-    void resetContention();
 
     int channels() const { return static_cast<int>(chans.size()); }
     std::uint64_t requests() const;

@@ -22,11 +22,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sim/annotations.hh"
@@ -103,22 +100,6 @@ class ThreadPool
         std::vector<T> out(n);
         parallelFor(n, [&](std::size_t i) { out[i] = fn(i); });
         return out;
-    }
-
-    /** Enqueue a single task; the future carries its result. */
-    template <typename F>
-    auto
-    submit(F &&f) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(f));
-        std::future<R> fut = task->get_future();
-        auto batch = std::make_shared<Batch>();
-        batch->fn = [task](std::size_t) { (*task)(); };
-        batch->n = 1;
-        enqueue(batch);
-        return fut;
     }
 
     // --- self-profiling (DESIGN.md §9) ---

@@ -29,17 +29,6 @@ Link::transfer(Dir dir, Cycles now, Addr bytes)
     return start + ser + propLatency;
 }
 
-void
-Link::resetContention()
-{
-    for (auto &d : dirs) {
-        d.nextFree = Cycles();
-        d.bytes = 0;
-        d.busy = Cycles();
-        d.queueDelay.reset();
-    }
-}
-
 std::uint64_t
 Link::bytesMoved(Dir dir) const
 {

@@ -69,10 +69,7 @@ class Link
         return now + serializationCycles(bytes, gbps) + propLatency;
     }
 
-    /** Forget queue occupancy (between independent runs). */
-    void resetContention();
-
-    /** Bytes moved in @p dir since construction/reset. */
+    /** Bytes moved in @p dir since construction. */
     std::uint64_t bytesMoved(Dir dir) const;
 
     /** Cycles the direction was busy serializing. */

@@ -183,13 +183,6 @@ Topology::send(NodeId src, NodeId dst, Cycles now, Addr bytes)
     return now;
 }
 
-void
-Topology::resetContention()
-{
-    for (Link &l : links_)
-        l.resetContention();
-}
-
 const Route &
 Topology::route(NodeId src, NodeId dst) const
 {

@@ -97,9 +97,6 @@ class Topology
      */
     Cycles send(NodeId src, NodeId dst, Cycles now, Addr bytes);
 
-    /** Forget all link occupancy (between independent runs). */
-    void resetContention();
-
     /** Route table entry (exposed for tests and analytics). */
     const Route &route(NodeId src, NodeId dst) const;
 

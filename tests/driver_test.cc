@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -396,32 +397,26 @@ TEST(Checkpoints, LoadRejectsGarbage)
     EXPECT_TRUE(out.deserialize(whole));
 }
 
-TEST(TimingSim, IndependentPhasesAgreeQualitatively)
+TEST(TimingSim, DefaultOptionsMatchRunExperiment)
 {
-    SimScale s = tinyScale();
-    auto trace = syntheticTrace(s, 16, 500, true);
-    SystemSetup setup = SystemSetup::starnuma();
-    TraceSim tsim(setup, s);
-    auto placement = tsim.run(trace);
+    // A TimingSim built with default options times a workload the
+    // way the production pipeline does, bit for bit.
+    SimScale s = SimScale::tiny();
+    const trace::WorkloadTrace &trace = workloadTrace("tc", s);
+    for (const SystemSetup &setup :
+         {SystemSetup::baseline(), SystemSetup::starnuma()}) {
+        SCOPED_TRACE(setup.name);
+        auto placement = TraceSim(setup, s).run(trace);
+        RunMetrics m = TimingSim(setup, s).run(trace, placement);
+        RunMetrics want = runExperiment("tc", setup, s).metrics;
+        EXPECT_EQ(std::memcmp(&m, &want, sizeof(RunMetrics)), 0);
 
-    TimingSim seq(setup, s);
-    auto seq_m = seq.run(trace, placement);
-
-    TimingOptions par_opt;
-    par_opt.independentPhases = true;
-    TimingSim par(setup, s, par_opt);
-    auto par_m = par.run(trace, placement);
-
-    // Different cache-warmth policy, same system: results agree in
-    // structure (mix sums to 1, pool share present, IPC nonzero and
-    // within a loose band of the sequential mode).
-    double sum = 0;
-    for (double f : par_m.mix)
-        sum += f;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-    EXPECT_GT(par_m.ipc, 0.0);
-    EXPECT_GT(par_m.ipc, seq_m.ipc * 0.3);
-    EXPECT_LT(par_m.ipc, seq_m.ipc * 3.0);
+        double sum = 0;
+        for (double f : m.mix)
+            sum += f;
+        EXPECT_NEAR(sum, 1.0, 1e-9);
+        EXPECT_GT(m.ipc, 0.0);
+    }
 }
 
 TEST(TimingSim, IndependentPhasesDeterministic)
@@ -432,9 +427,7 @@ TEST(TimingSim, IndependentPhasesDeterministic)
     TraceSim tsim(setup, s);
     auto placement = tsim.run(trace);
 
-    TimingOptions opt;
-    opt.independentPhases = true;
-    TimingSim a(setup, s, opt), b(setup, s, opt);
+    TimingSim a(setup, s), b(setup, s);
     auto ma = a.run(trace, placement);
     auto mb = b.run(trace, placement);
     EXPECT_DOUBLE_EQ(ma.ipc, mb.ipc);
@@ -466,8 +459,6 @@ TEST(PageTables, SpanReservationLeavesResultsIdentical)
     sparse.maxPage = PageNum(std::uint64_t(1) << 40);
     EXPECT_EQ(densePageSpan(sparse).pages, 0u);
 
-    TimingOptions opt;
-    opt.independentPhases = true;
     // The tracker, perfect-knowledge and static-oracle policies.
     for (const SystemSetup &setup :
          {SystemSetup::starnuma(), SystemSetup::baseline(),
@@ -479,7 +470,7 @@ TEST(PageTables, SpanReservationLeavesResultsIdentical)
         auto time = [&](const trace::WorkloadTrace &t,
                         const TraceSimResult &placement) {
             return metricsSnapshot(
-                       TimingSim(setup, s, opt).run(t, placement))
+                       TimingSim(setup, s).run(t, placement))
                 .values();
         };
         const TraceSimResult placement = replay(stamped);

@@ -365,8 +365,6 @@ TEST(Golden, StepCOutputsPinnedForEveryNamedSetup)
     auto trace = workloads::makeWorkload("bfs")->capture(s);
     obs::RunSink &sink = obs::RunSink::global();
     sink.start("");
-    driver::TimingOptions opt;
-    opt.independentPhases = true;
     for (const StepCPin &pin : stepCPins) {
         // Both simulators keep a reference to the setup: it must
         // outlive them.
@@ -374,7 +372,7 @@ TEST(Golden, StepCOutputsPinnedForEveryNamedSetup)
         SCOPED_TRACE(setup.name);
         driver::TraceSimResult placement =
             driver::TraceSim(setup, s).run(trace);
-        driver::TimingSim sim(setup, s, opt);
+        driver::TimingSim sim(setup, s);
         driver::RunMetrics m = sim.run(trace, placement);
         EXPECT_EQ(cas::hashString(driver::metricsSnapshot(m).json()).hex(),
                   pin.metrics);
@@ -445,9 +443,7 @@ TEST(Golden, StepCLlcInvalidationRefillPinned)
     driver::TraceSimResult placement =
         driver::TraceSim(setup, s).run(trace);
     EXPECT_GT(placement.checkpoints[1].regionMigrations.size(), 0u);
-    driver::TimingOptions opt;
-    opt.independentPhases = true;
-    driver::TimingSim sim(setup, s, opt);
+    driver::TimingSim sim(setup, s);
     driver::RunMetrics m = sim.run(trace, placement);
     sink.stop();
 

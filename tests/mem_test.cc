@@ -355,15 +355,6 @@ TEST(Dram, ControllerInterleavesChannels)
     EXPECT_EQ(mc.requests(), 2u);
 }
 
-TEST(Dram, ResetContentionRestoresUnloaded)
-{
-    MemoryController mc(1, DramConfig{});
-    for (int i = 0; i < 100; ++i)
-        mc.access(Cycles(0), 0);
-    mc.resetContention();
-    EXPECT_EQ(mc.access(Cycles(0), 0), mc.unloadedLatency());
-}
-
 TEST(Dram, SameRowHammerPipelinesThroughRowBuffer)
 {
     DramConfig cfg;

@@ -6,7 +6,7 @@
  * sweep run with pool sizes 1, 4, and 8 must produce bitwise-
  * identical RunMetrics and identical TraceSimResult placements.
  * Also covers the ThreadPool primitive itself (full coverage of
- * indices, nested fan-out, futures) and the memoized trace cache
+ * indices, nested fan-out) and the memoized trace cache
  * under concurrency (N simultaneous requests, exactly one capture).
  */
 
@@ -49,15 +49,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
         pool.parallelFor(16, [&](std::size_t) { ++total; });
     });
     EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(ThreadPool, SubmitDeliversResultThroughFuture)
-{
-    ThreadPool pool(2);
-    auto f1 = pool.submit([] { return 6 * 7; });
-    auto f2 = pool.submit([] { return std::string("starnuma"); });
-    EXPECT_EQ(f1.get(), 42);
-    EXPECT_EQ(f2.get(), "starnuma");
 }
 
 TEST(ThreadPool, ParallelMapKeepsCanonicalOrder)

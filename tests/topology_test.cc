@@ -136,17 +136,6 @@ TEST(Topology, OppositeDirectionsDoNotContend)
     EXPECT_EQ(a1, a2);
 }
 
-TEST(Topology, ResetContentionClearsQueues)
-{
-    Topology t(SystemConfig::baseline16());
-    t.send(0, 1, Cycles(0), dataBytes);
-    t.resetContention();
-    Cycles a = t.send(0, 1, Cycles(0), dataBytes);
-    EXPECT_EQ(a, serializationCycles(dataBytes, 3.0) +
-                     t.unloadedOneWay(0, 1));
-    EXPECT_EQ(t.bytesByType(LinkType::UPI), dataBytes);
-}
-
 TEST(Topology, BytesAccounting)
 {
     Topology t(SystemConfig::starnuma16());
